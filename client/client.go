@@ -246,6 +246,18 @@ func (c *Client) post(ctx context.Context, path string, body, out interface{}) e
 	return c.do(ctx, http.MethodPost, path, bytes.NewReader(buf), "application/json", out)
 }
 
+// postNDJSON posts reqs as an NDJSON body, one JSON value per line.
+func postNDJSON[T any](ctx context.Context, c *Client, path string, reqs []T, out interface{}) error {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for i, r := range reqs {
+		if err := enc.Encode(r); err != nil {
+			return fmt.Errorf("client: encoding NDJSON line %d: %w", i+1, err)
+		}
+	}
+	return c.do(ctx, http.MethodPost, path, &buf, "application/x-ndjson", out)
+}
+
 // getRaw fetches a non-JSON body (e.g. a flight-recording download)
 // while keeping the error-envelope and trace-context handling of do.
 func (c *Client) getRaw(ctx context.Context, path string) ([]byte, error) {

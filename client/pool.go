@@ -1,10 +1,7 @@
 package client
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -121,15 +118,8 @@ func (p *Pool) ServeBatch(ctx context.Context, reqs []PoolRequest) (PoolBatchRes
 // ServeBatchNDJSON submits the same batch in the NDJSON streaming shape
 // (one {"tenant","item","server","t"} object per line).
 func (p *Pool) ServeBatchNDJSON(ctx context.Context, reqs []PoolRequest) (PoolBatchResponse, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for i, r := range reqs {
-		if err := enc.Encode(r); err != nil {
-			return PoolBatchResponse{}, fmt.Errorf("client: encoding NDJSON line %d: %w", i+1, err)
-		}
-	}
 	var out PoolBatchResponse
-	err := p.c.do(ctx, http.MethodPost, p.path("/requests"), &buf, "application/x-ndjson", &out)
+	err := postNDJSON(ctx, p.c, p.path("/requests"), reqs, &out)
 	return out, err
 }
 

@@ -1,10 +1,7 @@
 package client
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"datacache"
@@ -56,15 +53,8 @@ func (s *Session) ServeBatch(ctx context.Context, reqs []Request) (BatchResponse
 // ServeBatchNDJSON submits the same batch in the NDJSON streaming shape
 // (Content-Type: application/x-ndjson, one {"server","t"} per line).
 func (s *Session) ServeBatchNDJSON(ctx context.Context, reqs []Request) (BatchResponse, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for i, r := range reqs {
-		if err := enc.Encode(r); err != nil {
-			return BatchResponse{}, fmt.Errorf("client: encoding NDJSON line %d: %w", i+1, err)
-		}
-	}
 	var out BatchResponse
-	err := s.c.do(ctx, http.MethodPost, s.path("/requests"), &buf, "application/x-ndjson", &out)
+	err := postNDJSON(ctx, s.c, s.path("/requests"), reqs, &out)
 	return out, err
 }
 

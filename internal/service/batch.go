@@ -1,13 +1,14 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
-	"time"
 
 	"datacache"
 	"datacache/internal/model"
@@ -30,7 +31,9 @@ import (
 // applied prefix's decisions, the first-rejected index and the reason,
 // with status 200 (the batch itself was processed). Whole-batch failures
 // use the error envelope: 404 unknown session, 409 closed session,
-// 400 malformed body or oversized batch, 429 inflight budget exceeded.
+// 400 malformed body, oversized batch or a body over maxBodyBytes, 429
+// inflight budget exceeded, 499 client gone. The /v1/pool/{id}/requests
+// route shares the decoder and the serving path.
 
 // MaxBatchRequests bounds one bulk-ingestion batch; larger batches are
 // rejected with 400 before any request applies.
@@ -84,154 +87,115 @@ type SessionBatchResponse struct {
 	Ratio         float64         `json:"ratio"`
 }
 
-// decodeBatch parses the batch body in any of its three accepted shapes.
-func decodeBatch(r *http.Request) ([]BatchRequestItem, error) {
-	if ct := r.Header.Get("Content-Type"); strings.Contains(ct, "ndjson") {
-		return decodeNDJSON(r.Body)
+// decodeBatch reads a batch body of T items in any of its three accepted
+// shapes (NDJSON, bare array, {"requests": [...]}) and enforces
+// MaxBatchRequests on each. The request body is already bounded to
+// maxBodyBytes by the route middleware.
+func decodeBatch[T any](body io.Reader, ndjson bool) ([]T, error) {
+	var items []T
+	if ndjson {
+		// json.Decoder frames NDJSON itself (values are self-delimiting),
+		// so blank lines and ordinary newlines both work.
+		dec := json.NewDecoder(body)
+		for {
+			var item T
+			if err := dec.Decode(&item); err != nil {
+				if errors.Is(err, io.EOF) {
+					return items, nil
+				}
+				return nil, fmt.Errorf("bad NDJSON line %d: %w", len(items)+1, err)
+			}
+			if len(items) == MaxBatchRequests {
+				return nil, fmt.Errorf("batch exceeds the %d-request bound", MaxBatchRequests)
+			}
+			items = append(items, item)
+		}
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<26)) // 64 MiB guard
+	raw, err := io.ReadAll(body)
 	if err != nil {
 		return nil, fmt.Errorf("reading batch body: %w", err)
 	}
-	trimmed := strings.TrimSpace(string(body))
-	if strings.HasPrefix(trimmed, "[") {
-		var items []BatchRequestItem
-		if err := json.Unmarshal(body, &items); err != nil {
+	raw = bytes.TrimSpace(raw)
+	if bytes.HasPrefix(raw, []byte("[")) {
+		if err := json.Unmarshal(raw, &items); err != nil {
 			return nil, fmt.Errorf("bad batch array: %w", err)
 		}
-		return items, nil
-	}
-	var req SessionBatchRequest
-	dec := json.NewDecoder(strings.NewReader(trimmed))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("bad batch body: %w", err)
-	}
-	return req.Requests, nil
-}
-
-// decodeNDJSON reads one BatchRequestItem per line. json.Decoder handles
-// the framing itself (values are self-delimiting), so blank lines and
-// ordinary newlines both work.
-func decodeNDJSON(body io.Reader) ([]BatchRequestItem, error) {
-	var items []BatchRequestItem
-	dec := json.NewDecoder(body)
-	for {
-		var item BatchRequestItem
-		if err := dec.Decode(&item); err != nil {
-			if errors.Is(err, io.EOF) {
-				return items, nil
-			}
-			return nil, fmt.Errorf("bad NDJSON line %d: %w", len(items)+1, err)
+	} else {
+		var obj struct {
+			Requests []T `json:"requests"`
 		}
-		items = append(items, item)
-		if len(items) > MaxBatchRequests {
-			return nil, fmt.Errorf("batch exceeds %d requests", MaxBatchRequests)
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&obj); err != nil {
+			return nil, fmt.Errorf("bad batch body: %w", err)
 		}
-	}
-}
-
-// handleSessionBatch serves POST /v1/session/{id}/requests. The caller
-// has resolved the entry; this handler owns budget admission, locking and
-// the reply.
-func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request, id string, entry *sessionEntry) {
-	items, err := decodeBatch(r)
-	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, err)
-		return
+		items = obj.Requests
 	}
 	if len(items) > MaxBatchRequests {
-		s.httpError(w, r, http.StatusBadRequest,
-			fmt.Errorf("batch of %d exceeds the %d-request bound", len(items), MaxBatchRequests))
-		return
+		return nil, fmt.Errorf("batch of %d exceeds the %d-request bound", len(items), MaxBatchRequests)
 	}
-	reqs := make([]model.Request, len(items))
-	for i, it := range items {
-		reqs[i] = model.Request{Server: it.Server, Time: it.at()}
-	}
+	return items, nil
+}
 
-	if !s.acquireServeSlot(w, r, id, entry) {
-		return
-	}
-	defer entry.inflight.Add(-1)
-	if !s.lockEntry(w, r, entry) {
-		return
-	}
-	if entry.sess.Closed() {
-		entry.lk.unlock()
-		s.httpError(w, r, http.StatusConflict, fmt.Errorf("session %q is closed", id))
-		return
-	}
-	root := obs.SpanFrom(r.Context())
-	if root != nil {
-		root.Session = id
-		entry.sess.SetRecordTraceID(root.TraceID)
-	}
-	entry.evs = entry.evs[:0]
-	start := time.Now()
-	res, err := entry.sess.ServeBatch(r.Context(), reqs)
-	elapsed := time.Since(start)
-	var n int
-	var evs []obs.Event
-	if res != nil {
-		n = entry.sess.N()
-		evs = append(evs, entry.evs...) // copied: the buffer is reused under the lock
-		if len(res.Decisions) > 0 {
-			s.publishSessionGauges(id, entry)
-		}
-	}
-	entry.lk.unlock()
+// serveBatch is the POST {id}/requests route of either kind: decode a
+// batch of T items and serve the op newOp builds from it under one
+// entry-lock acquisition.
+func serveBatch[T any, U servingUnit](s *Server, w http.ResponseWriter, r *http.Request, e *servingEntry[U], newOp func([]T) serveOp) {
+	items, err := decodeBatch[T](r.Body, strings.Contains(r.Header.Get("Content-Type"), "ndjson"))
 	if err != nil {
-		// ServeBatch fails outright only on a closed session (handled
-		// above) or a context canceled mid-batch; the applied prefix
-		// stays applied either way.
-		applied := 0
-		if res != nil {
-			applied = len(res.Decisions)
-		}
-		s.httpError(w, r, StatusClientClosedRequest,
-			fmt.Errorf("batch aborted after %d of %d requests: %v", applied, len(reqs), err))
+		s.badBody(w, r, err)
 		return
 	}
-	s.batchSize.Observe(float64(len(reqs)))
-	if applied := len(res.Decisions); applied > 0 {
-		// One sample of the mean per-decision latency across the batch;
-		// the single-request path samples every decision individually.
-		perDecision := elapsed.Seconds() / float64(applied)
-		if root != nil && root.Sampled() {
-			s.decisionSec.ObserveExemplar(perDecision, root.TraceID)
-		} else {
-			s.decisionSec.Observe(perDecision)
-		}
-		// One serve child span per applied request, annotated with the
-		// decision events attributed to it; durations share the batch's
-		// mean since individual requests are not timed separately.
-		if root != nil {
-			runs := partitionEvents(evs, res.Decisions)
-			shadowNames := entry.sess.ShadowNames() // immutable after create; safe outside the lock
-			for i, d := range res.Decisions {
-				sp := root.StartChild("serve")
-				sp.Start = start
-				annotateServeSpan(sp, id, d, eventsLabel(runs[i]),
-					shadowDivergenceLabel(shadowNames, d.ShadowDiverged))
-				// Individual requests are not timed inside a batch; each
-				// child carries the batch's mean per-decision latency.
-				sp.Duration = perDecision
-			}
-		}
+	op := newOp(items)
+	if e.serve(s, w, r, op, StatusClientClosedRequest) {
+		s.batchSize.Observe(float64(len(items)))
+		writeJSON(w, http.StatusOK, op.reply())
 	}
+}
+
+// sessionBatch is one POST /v1/session/{id}/requests operation.
+type sessionBatch struct {
+	id   string
+	u    *liveSession
+	reqs []model.Request
+	res  *datacache.ServeBatchResult
+	runs [][]obs.Event // decision events attributed to each applied request
+	n    int
+}
+
+func (o *sessionBatch) serve(ctx context.Context) (int, error) {
+	o.u.evs = o.u.evs[:0]
+	res, err := o.u.ServeBatch(ctx, o.reqs)
+	if res == nil {
+		return 0, err
+	}
+	o.res, o.n = res, o.u.N()
+	o.runs = partitionEvents(o.u.evs, res.Decisions)
+	if err != nil {
+		// Only a context canceled mid-batch fails a batch on an open
+		// session; the applied prefix stays applied.
+		return len(res.Decisions), fmt.Errorf("batch aborted after %d of %d requests: %v", len(res.Decisions), len(o.reqs), err)
+	}
+	return len(res.Decisions), nil
+}
+
+func (o *sessionBatch) decision(i int) (datacache.Decision, string) {
+	return o.res.Decisions[i], eventsLabel(o.runs[i])
+}
+
+func (o *sessionBatch) reply() interface{} {
 	resp := SessionBatchResponse{
-		ID:            id,
-		N:             n,
-		Applied:       len(res.Decisions),
-		FirstRejected: res.FirstRejected,
-		RejectReason:  res.RejectReason,
-		Decisions:     make([]BatchDecision, len(res.Decisions)),
-		Cost:          res.Cost,
-		Optimal:       res.Optimal,
-		Ratio:         res.Ratio,
+		ID:            o.id,
+		N:             o.n,
+		Applied:       len(o.res.Decisions),
+		FirstRejected: o.res.FirstRejected,
+		RejectReason:  o.res.RejectReason,
+		Decisions:     make([]BatchDecision, len(o.res.Decisions)),
+		Cost:          o.res.Cost,
+		Optimal:       o.res.Optimal,
+		Ratio:         o.res.Ratio,
 	}
-	for i, d := range res.Decisions {
+	for i, d := range o.res.Decisions {
 		resp.Decisions[i] = BatchDecision{
 			Server:  d.Server,
 			Time:    d.Time,
@@ -243,7 +207,7 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request, id s
 			Regret:  d.Regret,
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // partitionEvents attributes a batch's decision-event stream to its

@@ -2,11 +2,17 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"datacache/internal/offline"
 	"datacache/internal/online"
@@ -258,68 +264,235 @@ func TestBatchMalformedBodies(t *testing.T) {
 	}
 }
 
-// TestBatchInflightShed pins the backpressure contract: when a session's
-// inflight budget is exhausted, the batch route sheds with 429, the
-// overloaded code and a Retry-After hint — and recovers once the slot
-// frees.
+// servingKindCase drives one kind of serving entry through the shared
+// serving path: its single and batch bodies, and its registered entry's
+// lock, inflight counter and unit Close.
+type servingKindCase struct {
+	kind          string
+	single, batch string // one-request bodies of the two serve routes
+	entry         func(srv *Server, id string) (entryLock, *atomic.Int64, func() error)
+}
+
+// createEntry opens a session or a pool and returns its id.
+func createEntry(t *testing.T, srv *Server, kind string) string {
+	t.Helper()
+	rec, _ := serveDirect(context.Background(), srv, http.MethodPost, "/v1/"+kind, `{"m":4,"origin":1,"model":{"mu":1,"lambda":1}}`)
+	var st struct{ ID string }
+	if rec.Code != http.StatusCreated || json.NewDecoder(rec.Body).Decode(&st) != nil {
+		t.Fatalf("create %s: status %d", kind, rec.Code)
+	}
+	return st.ID
+}
+
+var servingKinds = []servingKindCase{
+	{
+		kind:   "session",
+		single: `{"server":2,"time":0.5}`,
+		batch:  `{"requests":[{"server":2,"t":0.5}]}`,
+		entry: func(srv *Server, id string) (entryLock, *atomic.Int64, func() error) {
+			e, _ := srv.sessions.get(id)
+			return e.lk, &e.inflight, func() error { _, err := e.unit.Close(); return err }
+		},
+	},
+	{
+		kind:   "pool",
+		single: `{"item":"a","server":2,"t":0.5}`,
+		batch:  `{"requests":[{"item":"a","server":2,"t":0.5}]}`,
+		entry: func(srv *Server, id string) (entryLock, *atomic.Int64, func() error) {
+			e, _ := srv.pools.get(id)
+			return e.lk, &e.inflight, e.unit.Close
+		},
+	},
+}
+
+// serveDirect runs one request through the handler in the test's own
+// goroutine, so the entry state a case sets up is ordered before it.
+func serveDirect(ctx context.Context, srv *Server, method, path, body string) (*httptest.ResponseRecorder, ErrorBody) {
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)).WithContext(ctx))
+	var envelope ErrorBody
+	if rec.Code >= 400 {
+		json.NewDecoder(rec.Body).Decode(&envelope)
+	}
+	return rec, envelope
+}
+
+// TestBatchInflightShed pins the whole-operation failures of the shared
+// serving path on both kinds and both serve routes: 429 overloaded with
+// Retry-After once the inflight budget is exhausted (and 200 again once
+// the slot frees), 409 conflict on an entry that is closed but still
+// registered, and 499 canceled when the client gives up while another
+// operation holds the entry lock.
 func TestBatchInflightShed(t *testing.T) {
 	srv := New(WithInflightBudget(1))
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	var st SessionState
-	resp := post(t, ts.URL+"/v1/session", SessionCreateRequest{
-		M: 4, Origin: 1, Model: CostModelDTO{Mu: 1, Lambda: 1},
-	}, &st)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create: status %d", resp.StatusCode)
+	bg := context.Background()
+	for _, k := range servingKinds {
+		for _, route := range []struct{ op, body string }{{"request", k.single}, {"requests", k.batch}} {
+			newEntry := func(t *testing.T) (string, entryLock, *atomic.Int64, func() error) {
+				t.Helper()
+				id := createEntry(t, srv, k.kind)
+				lk, inflight, closeUnit := k.entry(srv, id)
+				return "/v1/" + k.kind + "/" + id + "/" + route.op, lk, inflight, closeUnit
+			}
+			t.Run(k.kind+"/"+route.op+"/overloaded", func(t *testing.T) {
+				path, _, inflight, _ := newEntry(t)
+				inflight.Add(1) // occupy the single budget slot
+				rec, env := serveDirect(bg, srv, http.MethodPost, path, route.body)
+				if rec.Code != http.StatusTooManyRequests || env.Error.Code != CodeOverloaded {
+					t.Errorf("shed: status %d code %q, want 429 %q", rec.Code, env.Error.Code, CodeOverloaded)
+				}
+				if rec.Header().Get("Retry-After") == "" {
+					t.Error("shed reply missing Retry-After")
+				}
+				inflight.Add(-1)
+				if rec, _ := serveDirect(bg, srv, http.MethodPost, path, route.body); rec.Code != http.StatusOK {
+					t.Errorf("after release: status %d, want 200", rec.Code)
+				}
+			})
+			t.Run(k.kind+"/"+route.op+"/closed", func(t *testing.T) {
+				path, lk, _, closeUnit := newEntry(t)
+				_ = lk.lock(bg)
+				err := closeUnit()
+				lk.unlock()
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec, env := serveDirect(bg, srv, http.MethodPost, path, route.body)
+				if rec.Code != http.StatusConflict || env.Error.Code != CodeConflict {
+					t.Errorf("closed: status %d code %q, want 409 %q", rec.Code, env.Error.Code, CodeConflict)
+				}
+			})
+			t.Run(k.kind+"/"+route.op+"/canceled", func(t *testing.T) {
+				path, lk, inflight, _ := newEntry(t)
+				_ = lk.lock(bg)
+				ctx, cancel := context.WithTimeout(bg, 20*time.Millisecond)
+				rec, env := serveDirect(ctx, srv, http.MethodPost, path, route.body)
+				cancel()
+				lk.unlock()
+				if rec.Code != StatusClientClosedRequest || env.Error.Code != CodeCanceled {
+					t.Errorf("canceled: status %d code %q, want 499 %q", rec.Code, env.Error.Code, CodeCanceled)
+				}
+				if n := inflight.Load(); n != 0 {
+					t.Errorf("inflight slot leaked: %d after a canceled wait", n)
+				}
+			})
+		}
 	}
+}
 
-	// Occupy the single budget slot directly (deterministic — no racing
-	// goroutines needed to overlap two HTTP requests).
-	entry, ok := srv.sessions.get(st.ID)
-	if !ok {
-		t.Fatalf("session %s not in registry", st.ID)
+// paddedBody streams prefix, n spaces and suffix without holding them.
+func paddedBody(prefix string, n int64, suffix string) io.Reader {
+	return io.MultiReader(strings.NewReader(prefix), io.LimitReader(spaces{}, n), strings.NewReader(suffix))
+}
+
+type spaces struct{}
+
+var spaceBlock = bytes.Repeat([]byte{' '}, 32<<10)
+
+func (spaces) Read(p []byte) (int, error) {
+	return copy(p, spaceBlock), nil
+}
+
+// TestBodyBound: every JSON body, create and serve alike, is cut off at
+// maxBodyBytes with 400 bad_request naming the bound; the same bodies
+// with short padding are accepted. The over-bound bodies are generated
+// on the fly, never held in memory.
+func TestBodyBound(t *testing.T) {
+	// Each over-bound body makes the server buffer up to the bound;
+	// collect eagerly so that garbage does not pile up between cases.
+	defer debug.SetGCPercent(debug.SetGCPercent(10))
+	srv := New()
+	sess, pool := createEntry(t, srv, "session"), createEntry(t, srv, "pool")
+	cases := []struct {
+		name, path, ctype, prefix, suffix string
+	}{
+		{"create", "/v1/session", "application/json", `{"m":4,`, `"model":{"mu":1,"lambda":1}}`},
+		{"single", "/v1/pool/" + pool + "/request", "application/json", `{"item":"a",`, `"server":2,"t":1}`},
+		{"json batch", "/v1/session/" + sess + "/requests", "application/json", `{"requests":[`, `{"server":2,"t":1}]}`},
+		{"ndjson batch", "/v1/pool/" + pool + "/requests", "application/x-ndjson", `{"item":"b",`, `"server":2,"t":1}` + "\n"},
 	}
-	entry.inflight.Add(1)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			req := httptest.NewRequest(http.MethodPost, c.path, paddedBody(c.prefix, maxBodyBytes, c.suffix))
+			req.Header.Set("Content-Type", c.ctype)
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			var env ErrorBody
+			json.NewDecoder(rec.Body).Decode(&env)
+			if rec.Code != http.StatusBadRequest || env.Error.Code != CodeBadRequest ||
+				!strings.Contains(env.Error.Message, strconv.Itoa(maxBodyBytes)) {
+				t.Errorf("over-bound body: status %d, envelope %+v, want 400 naming %d", rec.Code, env.Error, maxBodyBytes)
+			}
 
-	buf, _ := json.Marshal(SessionBatchRequest{Requests: []BatchRequestItem{{Server: 2, T: 0.5}}})
-	resp2, err := http.Post(ts.URL+"/v1/session/"+st.ID+"/requests", "application/json", bytes.NewReader(buf))
+			req = httptest.NewRequest(http.MethodPost, c.path, paddedBody(c.prefix, 16, c.suffix))
+			req.Header.Set("Content-Type", c.ctype)
+			rec = httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			if rec.Code >= 300 {
+				t.Errorf("short-padded body: status %d %s", rec.Code, rec.Body)
+			}
+		})
+	}
+}
+
+// FuzzDecodeBatch drives arbitrary bytes through the one batch decoder,
+// as NDJSON or JSON and as session or pool items: it must never panic,
+// must return an error or at most MaxBatchRequests items, and whatever
+// it accepts must re-encode and decode to equal values.
+func FuzzDecodeBatch(f *testing.F) {
+	for _, body := range []string{
+		`{"requests":[{"server":2,"t":0.5},{"server":3,"time":0.8}]}`,
+		`[{"server":1,"t":1},{"tenant":"acme","item":"x","server":2,"t":2}]`,
+		"{\"item\":\"x\",\"server\":1,\"t\":1}\n\n{\"server\":2,\"t\":2}\n",
+		`{"requestz":[]}`,
+		`[{"server":1e3}]`,
+		`,,,`,
+		``,
+	} {
+		for _, ndjson := range []bool{false, true} {
+			f.Add([]byte(body), ndjson, false)
+			f.Add([]byte(body), ndjson, true)
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte, ndjson, pool bool) {
+		if pool {
+			checkDecodeBatch[PoolServeRequest](t, body, ndjson)
+		} else {
+			checkDecodeBatch[BatchRequestItem](t, body, ndjson)
+		}
+	})
+}
+
+func checkDecodeBatch[T comparable](t *testing.T, body []byte, ndjson bool) {
+	items, err := decodeBatch[T](bytes.NewReader(body), ndjson)
 	if err != nil {
+		return
+	}
+	if len(items) > MaxBatchRequests {
+		t.Fatalf("accepted %d items, over the %d-request bound", len(items), MaxBatchRequests)
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	if ndjson {
+		for _, it := range items {
+			if err := enc.Encode(it); err != nil {
+				t.Fatal(err)
+			}
+		}
+	} else if err := enc.Encode(items); err != nil {
 		t.Fatal(err)
 	}
-	var envelope ErrorBody
-	json.NewDecoder(resp2.Body).Decode(&envelope)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("shed: status %d, want 429", resp2.StatusCode)
-	}
-	if envelope.Error.Code != CodeOverloaded {
-		t.Errorf("shed code = %q, want %q", envelope.Error.Code, CodeOverloaded)
-	}
-	if ra := resp2.Header.Get("Retry-After"); ra == "" {
-		t.Error("shed reply missing Retry-After")
-	}
-
-	// Single-request route sheds the same way.
-	body, _ := json.Marshal(StreamAppendRequest{Server: 2, Time: 0.5})
-	resp3, err := http.Post(ts.URL+"/v1/session/"+st.ID+"/request", "application/json", bytes.NewReader(body))
+	again, err := decodeBatch[T](&buf, ndjson)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("re-encoded batch %q rejected: %v", buf.Bytes(), err)
 	}
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("single-request shed: status %d, want 429", resp3.StatusCode)
+	if len(again) != len(items) {
+		t.Fatalf("re-decoded %d items, want %d", len(again), len(items))
 	}
-
-	// Freeing the slot restores service.
-	entry.inflight.Add(-1)
-	resp4, err := http.Post(ts.URL+"/v1/session/"+st.ID+"/requests", "application/json", bytes.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp4.Body.Close()
-	if resp4.StatusCode != http.StatusOK {
-		t.Errorf("after release: status %d, want 200", resp4.StatusCode)
+	for i := range items {
+		if again[i] != items[i] {
+			t.Fatalf("item %d re-decoded as %+v, want %+v", i, again[i], items[i])
+		}
 	}
 }
 

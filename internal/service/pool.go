@@ -2,16 +2,10 @@ package service
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
-	"sync/atomic"
-	"time"
 
 	"datacache"
 	"datacache/internal/model"
@@ -32,20 +26,8 @@ import (
 // the per-tenant dc_pool_tenant_windowed_ratio — are retired when the
 // pool closes, exactly like the per-session gauges.
 
-// poolEntry wraps a Pool with the same concurrency shape a sessionEntry
-// has: a context-aware entry lock for serialization and an inflight
-// budget counter for shedding. It also remembers every tenant label the
-// pool has published so closing retires exactly those series, and the
-// eviction count already pushed to the dc_pool_evictions_total counter
-// (counters are monotone, so the publisher feeds deltas).
-type poolEntry struct {
-	lk       entryLock
-	inflight atomic.Int64
-	pool     *datacache.Pool
-	tenants  map[string]bool
-	policies map[string]bool // shadow-policy labels published, for retirement
-	pubEvict int             // evictions already published to the counter
-}
+// livePool is the pool kind's serving unit.
+type livePool struct{ *datacache.Pool }
 
 // PoolCreateRequest is the /v1/pool body. Policy/window/epoch configure
 // the per-item engines; maxItems bounds live engine state (0 unbounded)
@@ -202,107 +184,97 @@ func poolState(id string, p *datacache.Pool) PoolState {
 	}
 }
 
-// publishPoolGauges refreshes a pool's metric series after a state
-// change. Callers hold the pool entry lock.
-func (s *Server) publishPoolGauges(id string, e *poolEntry) {
-	p := e.pool
-	s.poolItems.With(id).Set(float64(p.LiveItems()))
-	s.poolCost.With(id).Set(p.Cost())
-	s.poolOpt.With(id).Set(p.Optimal())
-	s.poolRatio.With(id).Set(p.Ratio())
-	if ev := p.Evictions(); ev > e.pubEvict {
-		s.poolEvict.With(id).Add(int64(ev - e.pubEvict))
-		e.pubEvict = ev
+// publish refreshes a pool's metric series after a state change.
+func (p livePool) publish(s *Server, id string, ss seriesSet) {
+	ss.set(s.poolItems, float64(p.LiveItems()), id)
+	ss.set(s.poolCost, p.Cost(), id)
+	ss.set(s.poolOpt, p.Optimal(), id)
+	ss.set(s.poolRatio, p.Ratio(), id)
+	// The counter is monotone and only this entry writes its series, so
+	// the delta since its current value is the unpublished evictions.
+	if ev := int64(p.Evictions()); ev > 0 {
+		c := s.poolEvict.With(id)
+		c.Add(ev - c.Value())
+		ss.add(c, s.poolEvict, id)
 	}
 	for _, ts := range p.Tenants() {
-		s.poolTenantWRat.With(id, ts.Tenant).Set(ts.WindowedRatio)
-		e.tenants[ts.Tenant] = true
+		ss.set(s.poolTenantWRat, ts.WindowedRatio, id, ts.Tenant)
 	}
 	// Shadow-policy standings, the cheap O(K) path: cumulative costs are
 	// maintained incrementally by the pool, no per-item walk here.
-	names := p.ShadowNames()
-	if len(names) == 0 {
-		return
-	}
-	opt := p.Optimal()
-	costs := p.ShadowCosts()
-	bestIdx, bestCost := -1, p.Cost()
-	for i, name := range names {
-		c := costs[i]
-		s.poolShadowCost.With(id, name).Set(c)
-		s.poolShadowRat.With(id, name).Set(costOverOpt(c, opt))
-		e.policies[name] = true
-		if c < bestCost {
-			bestIdx, bestCost = i, c
-		}
-	}
-	for i, name := range names {
-		s.poolShadowBest.With(id, name).Set(boolGauge(i == bestIdx))
-	}
-	// Live last: a shadow may share the live policy's label and must not
-	// clobber a winning live row.
-	liveName := p.Policy()
-	e.policies[liveName] = true
-	if bestIdx < 0 {
-		s.poolShadowBest.With(id, liveName).Set(1)
-	} else if liveName != names[bestIdx] {
-		s.poolShadowBest.With(id, liveName).Set(0)
+	if names := p.ShadowNames(); len(names) > 0 {
+		costs := p.ShadowCosts()
+		ss.shadows(s.poolShadow, id, names, func(i int) float64 { return costs[i] }, p.Policy(), p.Cost(), p.Optimal())
 	}
 }
 
-// dropPoolGauges retires a closed pool's metric series so /metrics does
-// not grow without bound. It takes the entry lock itself; callers must
-// not hold it.
-func (s *Server) dropPoolGauges(id string, e *poolEntry) {
-	s.poolItems.Delete(id)
-	s.poolCost.Delete(id)
-	s.poolOpt.Delete(id)
-	s.poolRatio.Delete(id)
-	s.poolEvict.Delete(id)
-	_ = e.lk.lock(context.Background()) // never fails: the context cannot be canceled
-	tenants := make([]string, 0, len(e.tenants))
-	for t := range e.tenants {
-		tenants = append(tenants, t)
-	}
-	policies := make([]string, 0, len(e.policies))
-	for p := range e.policies {
-		policies = append(policies, p)
-	}
-	e.lk.unlock()
-	for _, t := range tenants {
-		s.poolTenantWRat.Delete(id, t)
-	}
-	for _, p := range policies {
-		s.poolShadowCost.Delete(id, p)
-		s.poolShadowRat.Delete(id, p)
-		s.poolShadowBest.Delete(id, p)
-	}
-	s.tracer.DropSession(id)
+// poolServe is one POST /v1/pool/{id}/request operation.
+type poolServe struct {
+	id  string
+	p   livePool
+	req PoolServeRequest
+	d   datacache.PoolDecision
 }
 
-// acquirePoolSlot admits a serve operation against the pool's inflight
-// budget — the same shedding contract acquireServeSlot applies to
-// sessions. On success the caller must release with e.inflight.Add(-1).
-func (s *Server) acquirePoolSlot(w http.ResponseWriter, r *http.Request, id string, e *poolEntry) bool {
-	if e.inflight.Add(1) > s.inflight {
-		e.inflight.Add(-1)
-		s.batchShed.Inc()
-		w.Header().Set("Retry-After", "1")
-		s.httpError(w, r, http.StatusTooManyRequests,
-			fmt.Errorf("pool %q has %d serve operations inflight (budget %d)", id, s.inflight, s.inflight))
-		return false
+func (o *poolServe) serve(context.Context) (int, error) {
+	d, err := o.p.Serve(o.req.Tenant, o.req.Item, o.req.Server, o.req.at())
+	if err != nil {
+		return 0, err
 	}
-	return true
+	o.d = d
+	return 1, nil
 }
 
-// lockPool acquires the pool entry lock honoring the request context.
-func (s *Server) lockPool(w http.ResponseWriter, r *http.Request, e *poolEntry) bool {
-	if err := e.lk.lock(r.Context()); err != nil {
-		s.httpError(w, r, StatusClientClosedRequest,
-			fmt.Errorf("client gone while waiting for pool lock: %v", err))
-		return false
+func (o *poolServe) decision(int) (datacache.Decision, string) { return o.d.Decision, "" }
+
+func (o *poolServe) reply() interface{} { return poolDecisionDTO(o.id, o.d) }
+
+// poolBatch is one POST /v1/pool/{id}/requests operation: an ordered
+// multi-item batch, grouped by item inside the pool, with per-item
+// partial-failure semantics.
+type poolBatch struct {
+	id   string
+	p    livePool
+	reqs []datacache.PoolRequest
+	res  *datacache.PoolBatchResult
+	n    int
+}
+
+func (o *poolBatch) serve(ctx context.Context) (int, error) {
+	res, err := o.p.ServeBatch(ctx, o.reqs)
+	if res == nil {
+		return 0, err
 	}
-	return true
+	o.res, o.n = res, o.p.N()
+	if err != nil {
+		// Only a context canceled mid-batch fails a batch on an open
+		// pool; applied requests stay applied.
+		return len(res.Decisions), fmt.Errorf("batch aborted after %d of %d requests: %v", len(res.Decisions), len(o.reqs), err)
+	}
+	return len(res.Decisions), nil
+}
+
+func (o *poolBatch) decision(i int) (datacache.Decision, string) {
+	return o.res.Decisions[i].Decision, ""
+}
+
+func (o *poolBatch) reply() interface{} {
+	resp := PoolBatchResponse{
+		ID:            o.id,
+		N:             o.n,
+		Applied:       len(o.res.Decisions),
+		FirstRejected: o.res.FirstRejected,
+		RejectReason:  o.res.RejectReason,
+		Rejected:      o.res.Rejected,
+		Decisions:     make([]PoolDecisionDTO, len(o.res.Decisions)),
+		Cost:          o.res.Cost,
+		Optimal:       o.res.Optimal,
+		Ratio:         o.res.Ratio,
+	}
+	for i, d := range o.res.Decisions {
+		resp.Decisions[i] = poolDecisionDTO(o.id, d)
+	}
+	return resp
 }
 
 func (s *Server) handlePoolCreate(w http.ResponseWriter, r *http.Request) {
@@ -344,12 +316,10 @@ func (s *Server) handlePoolCreate(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	entry := &poolEntry{lk: newEntryLock(), pool: pool, tenants: map[string]bool{}, policies: map[string]bool{}}
+	entry := newServingEntry("pool", id, livePool{pool})
+	entry.unit.publish(s, id, entry.series) // before registering, as for sessions
 	s.pools.put(id, entry)
 	s.poolsOpen.Add(1)
-	_ = entry.lk.lock(context.Background())
-	s.publishPoolGauges(id, entry)
-	entry.lk.unlock()
 	w.Header().Set("Location", "/v1/pool/"+id)
 	writeJSON(w, http.StatusCreated, poolState(id, pool))
 }
@@ -365,120 +335,32 @@ func (s *Server) poolObserver() datacache.Observer {
 	})
 }
 
-// decodePoolBatch parses the pool batch body in the same three shapes the
-// session batch accepts: {"requests": [...]}, a bare array, or NDJSON.
-func decodePoolBatch(r *http.Request) ([]PoolServeRequest, error) {
-	if ct := r.Header.Get("Content-Type"); strings.Contains(ct, "ndjson") {
-		return decodePoolNDJSON(r.Body)
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<26)) // 64 MiB guard
-	if err != nil {
-		return nil, fmt.Errorf("reading batch body: %w", err)
-	}
-	trimmed := strings.TrimSpace(string(body))
-	if strings.HasPrefix(trimmed, "[") {
-		var items []PoolServeRequest
-		if err := json.Unmarshal(body, &items); err != nil {
-			return nil, fmt.Errorf("bad batch array: %w", err)
-		}
-		return items, nil
-	}
-	var req PoolBatchRequestBody
-	dec := json.NewDecoder(strings.NewReader(trimmed))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("bad batch body: %w", err)
-	}
-	return req.Requests, nil
-}
-
-func decodePoolNDJSON(body io.Reader) ([]PoolServeRequest, error) {
-	var items []PoolServeRequest
-	dec := json.NewDecoder(body)
-	for {
-		var item PoolServeRequest
-		if err := dec.Decode(&item); err != nil {
-			if errors.Is(err, io.EOF) {
-				return items, nil
-			}
-			return nil, fmt.Errorf("bad NDJSON line %d: %w", len(items)+1, err)
-		}
-		items = append(items, item)
-		if len(items) > MaxBatchRequests {
-			return nil, fmt.Errorf("batch exceeds %d requests", MaxBatchRequests)
-		}
-	}
-}
-
 func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/pool/")
-	parts := strings.SplitN(rest, "/", 2)
-	id := parts[0]
-	op := ""
-	if len(parts) == 2 {
-		op = parts[1]
-	}
-	entry, ok := s.pools.get(id)
+	entry, id, op, ok := lookup(s, w, r, s.pools, "pool")
 	if !ok {
-		s.httpError(w, r, http.StatusNotFound, fmt.Errorf("unknown pool %q", id))
 		return
 	}
+	p := entry.unit
 	switch {
 	case op == "request" && r.Method == http.MethodPost:
-		var req PoolServeRequest
-		if !s.readJSON(w, r, &req) {
-			return
-		}
-		if !s.acquirePoolSlot(w, r, id, entry) {
-			return
-		}
-		defer entry.inflight.Add(-1)
-		if !s.lockPool(w, r, entry) {
-			return
-		}
-		root := obs.SpanFrom(r.Context())
-		if root != nil {
-			root.Session = id
-			entry.pool.SetRecordTraceID(root.TraceID)
-		}
-		span := root.StartChild("serve")
-		start := time.Now()
-		d, err := entry.pool.Serve(req.Tenant, req.Item, req.Server, req.at())
-		elapsed := time.Since(start)
-		if err == nil {
-			s.publishPoolGauges(id, entry)
-		}
-		entry.lk.unlock()
-		if err != nil {
-			if span != nil {
-				span.Session = id
-				span.Error = true
-				span.End()
-			}
-			status := http.StatusBadRequest
-			if entry.pool.Closed() {
-				status = http.StatusConflict
-			}
-			s.httpError(w, r, status, err)
-			return
-		}
-		annotateServeSpan(span, id, d.Decision, "",
-			shadowDivergenceLabel(entry.pool.ShadowNames(), d.ShadowDiverged))
-		if root != nil && root.Sampled() {
-			s.decisionSec.ObserveExemplar(elapsed.Seconds(), root.TraceID)
-		} else {
-			s.decisionSec.Observe(elapsed.Seconds())
-		}
-		writeJSON(w, http.StatusOK, poolDecisionDTO(id, d))
+		serveOne(s, w, r, entry, func(req PoolServeRequest) serveOp {
+			return &poolServe{id: id, p: p, req: req}
+		})
 	case op == "requests" && r.Method == http.MethodPost:
-		s.handlePoolBatch(w, r, id, entry)
+		serveBatch(s, w, r, entry, func(items []PoolServeRequest) serveOp {
+			reqs := make([]datacache.PoolRequest, len(items))
+			for i, it := range items {
+				reqs[i] = datacache.PoolRequest{Tenant: it.Tenant, Item: it.Item, Server: it.Server, Time: it.at()}
+			}
+			return &poolBatch{id: id, p: p, reqs: reqs}
+		})
 	case op == "record" && r.Method == http.MethodGet:
 		s.handleRecordDownload(w, r, id)
 	case op == "" && r.Method == http.MethodGet:
-		if !s.lockPool(w, r, entry) {
+		if !entry.lock(s, w, r) {
 			return
 		}
-		state := poolState(id, entry.pool)
+		state := poolState(id, p.Pool)
 		entry.lk.unlock()
 		writeJSON(w, http.StatusOK, state)
 	case op == "items" && r.Method == http.MethodGet:
@@ -487,11 +369,11 @@ func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
 			s.httpError(w, r, http.StatusBadRequest, err)
 			return
 		}
-		if !s.lockPool(w, r, entry) {
+		if !entry.lock(s, w, r) {
 			return
 		}
-		items, rankErr := entry.pool.TopItems(by, limit)
-		total := entry.pool.Items()
+		items, rankErr := p.TopItems(by, limit)
+		total := p.Items()
 		entry.lk.unlock()
 		if rankErr != nil {
 			s.httpError(w, r, http.StatusBadRequest, rankErr)
@@ -505,11 +387,11 @@ func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, PoolItemsResponse{ID: id, By: by, Total: total, Items: items})
 	case op == "shadow" && r.Method == http.MethodGet:
-		if !s.lockPool(w, r, entry) {
+		if !entry.lock(s, w, r) {
 			return
 		}
-		rep := entry.pool.ShadowReport()
-		state := poolState(id, entry.pool)
+		rep := p.ShadowReport()
+		state := poolState(id, p.Pool)
 		entry.lk.unlock()
 		if rep == nil {
 			s.httpError(w, r, http.StatusNotFound, fmt.Errorf("pool %q has no shadow policies", id))
@@ -517,7 +399,7 @@ func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, PoolShadowResponse{
 			ID:           id,
-			Policy:       entry.pool.Policy(),
+			Policy:       p.Policy(),
 			N:            state.N,
 			Cost:         state.Cost,
 			Optimal:      state.Optimal,
@@ -525,11 +407,11 @@ func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
 			ShadowReport: *rep,
 		})
 	case op == "" && r.Method == http.MethodDelete:
-		if !s.lockPool(w, r, entry) {
+		if !entry.lock(s, w, r) {
 			return
 		}
-		err := entry.pool.Close()
-		state := poolState(id, entry.pool)
+		err := p.Close()
+		state := poolState(id, p.Pool)
 		entry.lk.unlock()
 		if err != nil {
 			s.httpError(w, r, http.StatusInternalServerError, err)
@@ -537,7 +419,7 @@ func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
 		}
 		if s.pools.delete(id) { // racing DELETEs must tear down once
 			s.poolsOpen.Add(-1)
-			s.dropPoolGauges(id, entry)
+			entry.retire(s.tracer)
 		}
 		writeJSON(w, http.StatusOK, state)
 	default:
@@ -561,99 +443,4 @@ func parseItemsQuery(q url.Values) (by string, limit int, err error) {
 		}
 	}
 	return by, limit, nil
-}
-
-// handlePoolBatch serves POST /v1/pool/{id}/requests: an ordered
-// multi-item batch under ONE entry-lock acquisition, grouped by item
-// inside the pool, with per-item partial-failure semantics.
-func (s *Server) handlePoolBatch(w http.ResponseWriter, r *http.Request, id string, entry *poolEntry) {
-	items, err := decodePoolBatch(r)
-	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	if len(items) > MaxBatchRequests {
-		s.httpError(w, r, http.StatusBadRequest,
-			fmt.Errorf("batch of %d exceeds the %d-request bound", len(items), MaxBatchRequests))
-		return
-	}
-	reqs := make([]datacache.PoolRequest, len(items))
-	for i, it := range items {
-		reqs[i] = datacache.PoolRequest{Tenant: it.Tenant, Item: it.Item, Server: it.Server, Time: it.at()}
-	}
-
-	if !s.acquirePoolSlot(w, r, id, entry) {
-		return
-	}
-	defer entry.inflight.Add(-1)
-	if !s.lockPool(w, r, entry) {
-		return
-	}
-	if entry.pool.Closed() {
-		entry.lk.unlock()
-		s.httpError(w, r, http.StatusConflict, fmt.Errorf("pool %q is closed", id))
-		return
-	}
-	root := obs.SpanFrom(r.Context())
-	if root != nil {
-		root.Session = id
-		entry.pool.SetRecordTraceID(root.TraceID)
-	}
-	start := time.Now()
-	res, batchErr := entry.pool.ServeBatch(r.Context(), reqs)
-	elapsed := time.Since(start)
-	var n int
-	if res != nil {
-		n = entry.pool.N()
-		if len(res.Decisions) > 0 {
-			s.publishPoolGauges(id, entry)
-		}
-	}
-	entry.lk.unlock()
-	if batchErr != nil {
-		// ServeBatch fails outright only on a closed pool (handled above)
-		// or a context canceled mid-batch; applied requests stay applied.
-		applied := 0
-		if res != nil {
-			applied = len(res.Decisions)
-		}
-		s.httpError(w, r, StatusClientClosedRequest,
-			fmt.Errorf("batch aborted after %d of %d requests: %v", applied, len(reqs), batchErr))
-		return
-	}
-	s.batchSize.Observe(float64(len(reqs)))
-	if applied := len(res.Decisions); applied > 0 {
-		perDecision := elapsed.Seconds() / float64(applied)
-		if root != nil && root.Sampled() {
-			s.decisionSec.ObserveExemplar(perDecision, root.TraceID)
-		} else {
-			s.decisionSec.Observe(perDecision)
-		}
-		if root != nil {
-			shadowNames := entry.pool.ShadowNames() // immutable after create
-			for _, d := range res.Decisions {
-				sp := root.StartChild("serve")
-				sp.Start = start
-				annotateServeSpan(sp, id, d.Decision, "",
-					shadowDivergenceLabel(shadowNames, d.ShadowDiverged))
-				sp.Duration = perDecision
-			}
-		}
-	}
-	resp := PoolBatchResponse{
-		ID:            id,
-		N:             n,
-		Applied:       len(res.Decisions),
-		FirstRejected: res.FirstRejected,
-		RejectReason:  res.RejectReason,
-		Rejected:      res.Rejected,
-		Decisions:     make([]PoolDecisionDTO, len(res.Decisions)),
-		Cost:          res.Cost,
-		Optimal:       res.Optimal,
-		Ratio:         res.Ratio,
-	}
-	for i, d := range res.Decisions {
-		resp.Decisions[i] = poolDecisionDTO(id, d)
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

@@ -2,6 +2,9 @@ package service
 
 import (
 	"context"
+	"fmt"
+	"net/http"
+	"strings"
 	"sync"
 )
 
@@ -116,6 +119,16 @@ func (r *registry[V]) forEach(fn func(id string, v V)) {
 			fn(e.id, e.v)
 		}
 	}
+}
+
+// lookup resolves a /v1/{kind}/{id}[/{op}] path against reg, answering
+// 404 for an unknown id.
+func lookup[V any](s *Server, w http.ResponseWriter, r *http.Request, reg *registry[V], kind string) (v V, id, op string, ok bool) {
+	id, op, _ = strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/"+kind+"/"), "/")
+	if v, ok = reg.get(id); !ok {
+		s.httpError(w, r, http.StatusNotFound, fmt.Errorf("unknown %s %q", kind, id))
+	}
+	return v, id, op, ok
 }
 
 // entryLock is a context-aware mutex: a channel-based binary semaphore, so

@@ -83,7 +83,7 @@ func TestRegistryShardSpread(t *testing.T) {
 // TestRegistryHammer is the -race check for the sharded registry itself:
 // writers, readers, deleters and iterators on overlapping key ranges.
 func TestRegistryHammer(t *testing.T) {
-	r := newRegistry[*sessionEntry]()
+	r := newRegistry[*servingEntry[*liveSession]]()
 	const workers = 8
 	const keysPerWorker = 200
 	var wg sync.WaitGroup
@@ -95,13 +95,13 @@ func TestRegistryHammer(t *testing.T) {
 				id := fmt.Sprintf("sn-%d", (w*keysPerWorker+i)%300) // overlapping ranges
 				switch i % 4 {
 				case 0:
-					r.put(id, &sessionEntry{lk: newEntryLock()})
+					r.put(id, newServingEntry("session", id, &liveSession{}))
 				case 1:
 					r.get(id)
 				case 2:
 					r.delete(id)
 				default:
-					r.forEach(func(string, *sessionEntry) {})
+					r.forEach(func(string, *servingEntry[*liveSession]) {})
 					r.shardLens()
 				}
 			}

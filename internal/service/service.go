@@ -35,6 +35,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -133,12 +134,8 @@ type Server struct {
 	plannerConf    *obs.GaugeVec   // session (rolling prediction confidence)
 	plannerPlans   *obs.GaugeVec   // session (plans built)
 	plannerMispred *obs.GaugeVec   // session (planned predictions that came false)
-	shadowCost     *obs.GaugeVec   // session, policy (counterfactual cost)
-	shadowRatio    *obs.GaugeVec   // session, policy (counterfactual cost over optimum)
-	shadowBest     *obs.GaugeVec   // session, policy (1 on the minimum-cost policy)
-	poolShadowCost *obs.GaugeVec   // pool, policy
-	poolShadowRat  *obs.GaugeVec   // pool, policy
-	poolShadowBest *obs.GaugeVec   // pool, policy
+	sessionShadow  shadowVecs      // session, policy
+	poolShadow     shadowVecs      // pool, policy
 	batchSize      *obs.Histogram  // requests per accepted batch
 	batchShed      *obs.Counter    // batches shed by the inflight budget
 	shardSess      [numShards]*obs.Gauge
@@ -169,8 +166,8 @@ type Server struct {
 	// operations on unrelated sessions never contend. Per-session
 	// serialization lives in each entry's own context-aware lock.
 	streams  *registry[*streamEntry]
-	sessions *registry[*sessionEntry]
-	pools    *registry[*poolEntry]
+	sessions *registry[*servingEntry[*liveSession]]
+	pools    *registry[*servingEntry[livePool]]
 	nextID   atomic.Int64
 }
 
@@ -338,8 +335,8 @@ func New(opts ...Option) *Server {
 		traceSample:  1,
 		shadowMargin: datacache.DefaultShadowMargin,
 		streams:      newRegistry[*streamEntry](),
-		sessions:     newRegistry[*sessionEntry](),
-		pools:        newRegistry[*poolEntry](),
+		sessions:     newRegistry[*servingEntry[*liveSession]](),
+		pools:        newRegistry[*servingEntry[livePool]](),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -418,22 +415,22 @@ func New(opts ...Option) *Server {
 		"Rolling-horizon plans a hybrid session has built.", "session")
 	s.plannerMispred = s.reg.GaugeVec("dc_planner_mispredicts",
 		"Planned predictions of a hybrid session that came false (each clears the plan).", "session")
-	s.shadowCost = s.reg.GaugeVec("dc_shadow_cost",
+	s.sessionShadow.cost = s.reg.GaugeVec("dc_shadow_cost",
 		"Counterfactual cost a shadow policy would have accumulated on a session's live traffic.",
 		"session", "policy")
-	s.shadowRatio = s.reg.GaugeVec("dc_shadow_cost_over_optimum",
+	s.sessionShadow.ratio = s.reg.GaugeVec("dc_shadow_cost_over_optimum",
 		"Counterfactual competitive ratio of a shadow policy on a session's live traffic.",
 		"session", "policy")
-	s.shadowBest = s.reg.GaugeVec("dc_shadow_best_policy",
+	s.sessionShadow.best = s.reg.GaugeVec("dc_shadow_best_policy",
 		"1 on the minimum-cost policy of a shadowed session (live policy included), 0 elsewhere.",
 		"session", "policy")
-	s.poolShadowCost = s.reg.GaugeVec("dc_pool_shadow_cost",
+	s.poolShadow.cost = s.reg.GaugeVec("dc_pool_shadow_cost",
 		"Counterfactual cost a shadow policy would have accumulated across every item of a pool.",
 		"pool", "policy")
-	s.poolShadowRat = s.reg.GaugeVec("dc_pool_shadow_cost_over_optimum",
+	s.poolShadow.ratio = s.reg.GaugeVec("dc_pool_shadow_cost_over_optimum",
 		"Counterfactual pool-wide competitive ratio of a shadow policy.",
 		"pool", "policy")
-	s.poolShadowBest = s.reg.GaugeVec("dc_pool_shadow_best_policy",
+	s.poolShadow.best = s.reg.GaugeVec("dc_pool_shadow_best_policy",
 		"1 on the minimum-cost policy of a shadowed pool (live policy included), 0 elsewhere.",
 		"pool", "policy")
 	s.batchSize = s.reg.Histogram("dc_session_batch_size",
@@ -530,13 +527,18 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// mount wraps a handler with the instrumentation middleware: request-ID
-// minting and propagation, a server span adopting any incoming
-// traceparent, status/latency metrics (with a trace exemplar when the
-// span is retained), and one structured log line per request.
+// maxBodyBytes bounds every request body; a body past it is refused with
+// 400 before it is fully buffered.
+const maxBodyBytes = 64 << 20
+
+// mount wraps a handler with the instrumentation middleware: the request
+// body bound, request-ID minting and propagation, a server span adopting
+// any incoming traceparent, status/latency metrics (with a trace exemplar
+// when the span is retained), and one structured log line per request.
 func (s *Server) mount(route string, h http.HandlerFunc) {
 	s.mux.HandleFunc(route, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		id := obs.NewRequestID()
 		parent, _ := obs.ParseTraceparent(r.Header.Get("Traceparent"))
 		span := s.tracer.StartRoot(route, parent)
@@ -978,16 +980,8 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStreamOp(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/stream/")
-	parts := strings.SplitN(rest, "/", 2)
-	id := parts[0]
-	op := ""
-	if len(parts) == 2 {
-		op = parts[1]
-	}
-	entry, ok := s.streams.get(id)
+	entry, id, op, ok := lookup(s, w, r, s.streams, "stream")
 	if !ok {
-		s.httpError(w, r, http.StatusNotFound, fmt.Errorf("unknown stream %q", id))
 		return
 	}
 	switch {
@@ -1040,10 +1034,20 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst interface{
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		s.httpError(w, r, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		s.badBody(w, r, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true
+}
+
+// badBody answers 400 for a body that could not be read or decoded,
+// naming the size bound when that is what cut the body off.
+func (s *Server) badBody(w http.ResponseWriter, r *http.Request, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		err = fmt.Errorf("request body exceeds the %d-byte bound", tooBig.Limit)
+	}
+	s.httpError(w, r, http.StatusBadRequest, err)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

@@ -8,8 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
-	"time"
 
 	"datacache"
 	"datacache/internal/model"
@@ -27,29 +25,12 @@ import (
 // counters, the decision-latency histogram and the per-session
 // cost / optimum / cost_over_optimum / live_copies gauges on /metrics.
 
-// sessionEntry wraps a Session with its own context-aware lock so
-// concurrent operations on different sessions never serialize anywhere:
-// the registry shard lock is held only for the lookup, and the entry lock
-// (an entryLock semaphore) is abandoned when the waiting client
-// disconnects. It also remembers every metric label this session has
-// published — the server labels of dc_session_server_cost and the rule
-// names of dc_alert_state — so closing the session can retire exactly
-// those series.
-//
-// inflight counts the serve operations (single requests and batches)
-// currently queued against the entry; the handler sheds work beyond the
-// server's inflight budget with 429 before ever touching the lock.
-type sessionEntry struct {
-	lk       entryLock
-	inflight atomic.Int64
-	sess     *datacache.Session
-	servers  map[string]bool
-	policies map[string]bool // shadow-metric policy labels published (live included)
-	alerts   []string
-	// evs buffers the engine events of the serve operation currently
-	// running under the entry lock; the handlers reset it before Serve and
-	// read it after, to annotate the request's trace span with what the
-	// decision actually did (hit/transfer/drop/timer/epoch-reset).
+// liveSession is the session kind's serving unit: the Session plus the
+// engine events of the serve operation currently running under the entry
+// lock, which annotate the request's trace span with what the decision
+// actually did (hit/transfer/drop/timer/epoch-reset).
+type liveSession struct {
+	*datacache.Session
 	evs []obs.Event
 }
 
@@ -186,16 +167,16 @@ func sessionState(id string, sess *datacache.Session) SessionState {
 }
 
 // engineObserver feeds every decision event of one session into the
-// kind-labeled engine counters and the entry's per-serve event buffer.
+// kind-labeled engine counters and the unit's per-serve event buffer.
 // The counters are pre-resolved atomics, and the buffer append happens
 // under the entry lock every Serve already holds, so observation adds no
 // locks to the serving path.
-func (s *Server) engineObserver(entry *sessionEntry) datacache.Observer {
+func (s *Server) engineObserver(u *liveSession) datacache.Observer {
 	return obs.ObserverFunc(func(ev obs.Event) {
 		if k := int(ev.Kind); k >= 0 && k < len(s.engineEventK) {
 			s.engineEventK[k].Inc()
 		}
-		entry.evs = append(entry.evs, ev)
+		u.evs = append(u.evs, ev)
 	})
 }
 
@@ -258,135 +239,91 @@ func annotateServeSpan(sp *obs.Span, id string, d datacache.Decision, events, sh
 	sp.End()
 }
 
-// publishSessionGauges refreshes the per-session metric series after a
-// state change. Callers hold the session entry lock.
-func (s *Server) publishSessionGauges(id string, e *sessionEntry) {
-	sess := e.sess
-	s.sessionCost.With(id).Set(sess.Cost())
-	s.sessionOpt.With(id).Set(sess.OptimalCost())
-	s.sessionRatio.With(id).Set(sess.Ratio())
-	s.sessionLive.With(id).Set(float64(sess.LiveCopies()))
+// publish refreshes the per-session metric series after a state change.
+func (u *liveSession) publish(s *Server, id string, ss seriesSet) {
+	ss.set(s.sessionCost, u.Cost(), id)
+	ss.set(s.sessionOpt, u.OptimalCost(), id)
+	ss.set(s.sessionRatio, u.Ratio(), id)
+	ss.set(s.sessionLive, float64(u.LiveCopies()), id)
 
 	// Per-server attribution: only servers that have accrued cost or hold
 	// a copy get a series, so an m=100 session with three active servers
 	// exports six cost series, not two hundred.
-	for _, sc := range sess.CostBreakdown() {
+	for _, sc := range u.CostBreakdown() {
 		if !sc.Live && sc.Caching == 0 && sc.Transfers == 0 {
 			continue
 		}
 		srv := strconv.Itoa(int(sc.Server))
-		s.serverCost.With(id, srv, "caching").Set(sc.Caching)
-		s.serverCost.With(id, srv, "transfer").Set(sc.Transfer)
-		e.servers[srv] = true
+		ss.set(s.serverCost, sc.Caching, id, srv, "caching")
+		ss.set(s.serverCost, sc.Transfer, id, srv, "transfer")
 	}
 
-	if slo := sess.SLO(); slo != nil {
-		s.sessionWRat.With(id).Set(slo.WindowedRatio())
+	// Every alert rule's state is written here from create on, so the
+	// series the transition hooks refresh are always recorded for
+	// retirement.
+	if slo := u.SLO(); slo != nil {
+		ss.set(s.sessionWRat, slo.WindowedRatio(), id)
 		for _, a := range slo.Alerts() {
-			s.alertState.With(id, a.Rule.Name).Set(float64(a.State))
+			ss.set(s.alertState, float64(a.State), id, a.Rule.Name)
 		}
 	}
 
-	if st, ok := sess.PlannerStats(); ok {
-		s.plannerHitRat.With(id).Set(st.PredictedHitRatio)
-		s.plannerDepth.With(id).Set(float64(st.PlanDepth))
-		s.plannerConf.With(id).Set(st.Confidence)
-		s.plannerPlans.With(id).Set(float64(st.Plans))
-		s.plannerMispred.With(id).Set(float64(st.Mispredicts))
-		if a, ok := sess.PlannerAlert(); ok {
-			s.alertState.With(id, a.Rule.Name).Set(float64(a.State))
+	if st, ok := u.PlannerStats(); ok {
+		ss.set(s.plannerHitRat, st.PredictedHitRatio, id)
+		ss.set(s.plannerDepth, float64(st.PlanDepth), id)
+		ss.set(s.plannerConf, st.Confidence, id)
+		ss.set(s.plannerPlans, float64(st.Plans), id)
+		ss.set(s.plannerMispred, float64(st.Mispredicts), id)
+		if a, ok := u.PlannerAlert(); ok {
+			ss.set(s.alertState, float64(a.State), id, a.Rule.Name)
 		}
 	}
 
 	// Shadow standings: the cheap O(M)-per-policy CostLive feed, never the
 	// exact schedule-priced query (that one is O(n) and route-only).
-	if names := sess.ShadowNames(); len(names) > 0 {
-		opt := sess.OptimalCost()
-		bestIdx := -1 // -1: the live policy is winning
-		bestCost := sess.CostLive()
-		for i, name := range names {
-			c := sess.ShadowCostLive(i)
-			s.shadowCost.With(id, name).Set(c)
-			s.shadowRatio.With(id, name).Set(costOverOpt(c, opt))
-			e.policies[name] = true
-			if c < bestCost {
-				bestCost, bestIdx = c, i
-			}
-		}
-		for i, name := range names {
-			s.shadowBest.With(id, name).Set(boolGauge(i == bestIdx))
-		}
-		// Live last: a shadow may share the live policy's label (the
-		// self-check configuration) and must not clobber a winning live row.
-		liveName := sess.Policy()
-		e.policies[liveName] = true
-		if bestIdx < 0 {
-			s.shadowBest.With(id, liveName).Set(1)
-		} else if liveName != names[bestIdx] {
-			s.shadowBest.With(id, liveName).Set(0)
-		}
-		if a, ok := sess.ShadowAlert(); ok {
-			s.alertState.With(id, a.Rule.Name).Set(float64(a.State))
+	if names := u.ShadowNames(); len(names) > 0 {
+		ss.shadows(s.sessionShadow, id, names, u.ShadowCostLive, u.Policy(), u.CostLive(), u.OptimalCost())
+		if a, ok := u.ShadowAlert(); ok {
+			ss.set(s.alertState, float64(a.State), id, a.Rule.Name)
 		}
 	}
 }
 
-// costOverOpt is the gauge-side competitive ratio (1 while the optimum
-// is zero, matching datacache's convention).
-func costOverOpt(cost, opt float64) float64 {
-	if opt > 0 {
-		return cost / opt
-	}
-	return 1
+// sessionServe is one POST /v1/session/{id}/request operation.
+type sessionServe struct {
+	id     string
+	u      *liveSession
+	req    StreamAppendRequest
+	d      datacache.Decision
+	n      int
+	events string
 }
 
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
+func (o *sessionServe) serve(context.Context) (int, error) {
+	o.u.evs = o.u.evs[:0]
+	d, err := o.u.Serve(o.req.Server, o.req.Time)
+	if err != nil {
+		return 0, err
 	}
-	return 0
+	o.d, o.n, o.events = d, o.u.N(), eventsLabel(o.u.evs)
+	return 1, nil
 }
 
-// dropSessionGauges removes a closed session's metric series so /metrics
-// does not grow without bound. It takes the entry lock itself; callers
-// must not hold it.
-func (s *Server) dropSessionGauges(id string, e *sessionEntry) {
-	s.sessionCost.Delete(id)
-	s.sessionOpt.Delete(id)
-	s.sessionRatio.Delete(id)
-	s.sessionLive.Delete(id)
-	s.plannerHitRat.Delete(id)
-	s.plannerDepth.Delete(id)
-	s.plannerConf.Delete(id)
-	s.plannerPlans.Delete(id)
-	s.plannerMispred.Delete(id)
-	_ = e.lk.lock(context.Background()) // never fails: the context cannot be canceled
-	servers := make([]string, 0, len(e.servers))
-	for srv := range e.servers {
-		servers = append(servers, srv)
+func (o *sessionServe) decision(int) (datacache.Decision, string) { return o.d, o.events }
+
+func (o *sessionServe) reply() interface{} {
+	return SessionDecision{
+		ID:      o.id,
+		N:       o.n,
+		Server:  o.d.Server,
+		Time:    o.d.Time,
+		Hit:     o.d.Hit,
+		From:    o.d.From,
+		Cost:    o.d.Cost,
+		Optimal: o.d.Optimal,
+		Ratio:   o.d.Ratio,
+		Regret:  o.d.Regret,
 	}
-	policies := make([]string, 0, len(e.policies))
-	for p := range e.policies {
-		policies = append(policies, p)
-	}
-	alerts := append([]string(nil), e.alerts...)
-	e.lk.unlock()
-	for _, srv := range servers {
-		s.serverCost.Delete(id, srv, "caching")
-		s.serverCost.Delete(id, srv, "transfer")
-	}
-	for _, p := range policies {
-		s.shadowCost.Delete(id, p)
-		s.shadowRatio.Delete(id, p)
-		s.shadowBest.Delete(id, p)
-	}
-	s.sessionWRat.Delete(id)
-	for _, name := range alerts {
-		s.alertState.Delete(id, name)
-	}
-	// Retire the session's retained spans the same way: a closed session
-	// must not keep occupying the bounded span store.
-	s.tracer.DropSession(id)
 }
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
@@ -402,7 +339,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	entry := &sessionEntry{lk: newEntryLock(), servers: map[string]bool{}, policies: map[string]bool{}}
+	u := &liveSession{}
 	// The id is minted before the session exists so the recorder stream
 	// is declared under it from the first record.
 	id := fmt.Sprintf("sn-%d", s.nextID.Add(1))
@@ -412,7 +349,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		EpochTransfers: req.Epoch,
 		TraceCap:       s.traceCap,
 		SLOWindow:      s.sloWindow,
-		Observer:       s.engineObserver(entry),
+		Observer:       s.engineObserver(u),
 		ShadowPolicies: shadows,
 		ShadowMargin:   s.shadowMargin,
 		Recorder:       s.recorder,
@@ -422,31 +359,27 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	entry.sess = sess
+	u.Session = sess
 	if slo := sess.SLO(); slo != nil {
 		// The hook runs under the entry lock of whichever Serve triggers
 		// the transition; the gauge and counter writes are lock-free.
-		for _, a := range slo.Alerts() {
-			entry.alerts = append(entry.alerts, a.Rule.Name)
-		}
 		slo.SetTransitionHook(s.alertHook(id))
 	}
-	if a, ok := sess.ShadowAlert(); ok {
+	if _, ok := sess.ShadowAlert(); ok {
 		// The shadow_beats_live rule shares the SLO rules' gauge, counter
 		// and WARN-log plumbing, and is retired with them on close.
-		entry.alerts = append(entry.alerts, a.Rule.Name)
 		sess.SetShadowTransitionHook(s.alertHook(id))
 	}
-	if a, ok := sess.PlannerAlert(); ok {
+	if _, ok := sess.PlannerAlert(); ok {
 		// Likewise planner_worse_than_sc on hybrid sessions.
-		entry.alerts = append(entry.alerts, a.Rule.Name)
 		sess.SetPlannerTransitionHook(s.alertHook(id))
 	}
+	entry := newServingEntry("session", id, u)
+	// Published before registering: no other request can reach the
+	// entry yet, and a racing DELETE cannot retire the series first.
+	u.publish(s, id, entry.series)
 	s.sessions.put(id, entry)
 	s.sessionsOpen.Add(1)
-	_ = entry.lk.lock(context.Background())
-	s.publishSessionGauges(id, entry)
-	entry.lk.unlock()
 	w.Header().Set("Location", "/v1/session/"+id)
 	writeJSON(w, http.StatusCreated, sessionState(id, sess))
 }
@@ -485,127 +418,45 @@ func (s *Server) alertHook(id string) obs.TransitionHook {
 	}
 }
 
-// lockEntry acquires the entry lock honoring the request context: a
-// client that disconnects while queued behind a long batch stops waiting
-// and its slot is released. Reports whether the lock is held; on failure
-// the 499 envelope has already been written.
-func (s *Server) lockEntry(w http.ResponseWriter, r *http.Request, e *sessionEntry) bool {
-	if err := e.lk.lock(r.Context()); err != nil {
-		s.httpError(w, r, StatusClientClosedRequest,
-			fmt.Errorf("client gone while waiting for session lock: %v", err))
-		return false
-	}
-	return true
-}
-
-// acquireServeSlot admits a serve operation (single or batch) against the
-// session's inflight budget, shedding excess load with 429 + Retry-After
-// before the operation ever queues on the entry lock. On success the
-// caller must release the slot with entry.inflight.Add(-1).
-func (s *Server) acquireServeSlot(w http.ResponseWriter, r *http.Request, id string, e *sessionEntry) bool {
-	if e.inflight.Add(1) > s.inflight {
-		e.inflight.Add(-1)
-		s.batchShed.Inc()
-		w.Header().Set("Retry-After", "1")
-		s.httpError(w, r, http.StatusTooManyRequests,
-			fmt.Errorf("session %q has %d serve operations inflight (budget %d)", id, s.inflight, s.inflight))
-		return false
-	}
-	return true
-}
-
 func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/session/")
-	parts := strings.SplitN(rest, "/", 2)
-	id := parts[0]
-	op := ""
-	if len(parts) == 2 {
-		op = parts[1]
-	}
-	entry, ok := s.sessions.get(id)
+	entry, id, op, ok := lookup(s, w, r, s.sessions, "session")
 	if !ok {
-		s.httpError(w, r, http.StatusNotFound, fmt.Errorf("unknown session %q", id))
 		return
 	}
+	u := entry.unit
 	switch {
 	case op == "request" && r.Method == http.MethodPost:
-		var req StreamAppendRequest
-		if !s.readJSON(w, r, &req) {
-			return
-		}
-		if !s.acquireServeSlot(w, r, id, entry) {
-			return
-		}
-		defer entry.inflight.Add(-1)
-		if !s.lockEntry(w, r, entry) {
-			return
-		}
-		root := obs.SpanFrom(r.Context())
-		if root != nil {
-			root.Session = id
-			entry.sess.SetRecordTraceID(root.TraceID)
-		}
-		span := root.StartChild("serve")
-		entry.evs = entry.evs[:0]
-		start := time.Now()
-		d, err := entry.sess.Serve(req.Server, req.Time)
-		elapsed := time.Since(start)
-		n := entry.sess.N()
-		events := eventsLabel(entry.evs)
-		if err == nil {
-			s.publishSessionGauges(id, entry)
-		}
-		entry.lk.unlock()
-		if err != nil {
-			if span != nil {
-				span.Session = id
-				span.Error = true
-				span.End()
-			}
-			s.httpError(w, r, http.StatusBadRequest, err)
-			return
-		}
-		annotateServeSpan(span, id, d, events,
-			shadowDivergenceLabel(entry.sess.ShadowNames(), d.ShadowDiverged))
-		if root != nil && root.Sampled() {
-			s.decisionSec.ObserveExemplar(elapsed.Seconds(), root.TraceID)
-		} else {
-			s.decisionSec.Observe(elapsed.Seconds())
-		}
-		writeJSON(w, http.StatusOK, SessionDecision{
-			ID:      id,
-			N:       n,
-			Server:  d.Server,
-			Time:    d.Time,
-			Hit:     d.Hit,
-			From:    d.From,
-			Cost:    d.Cost,
-			Optimal: d.Optimal,
-			Ratio:   d.Ratio,
-			Regret:  d.Regret,
+		serveOne(s, w, r, entry, func(req StreamAppendRequest) serveOp {
+			return &sessionServe{id: id, u: u, req: req}
 		})
 	case op == "requests" && r.Method == http.MethodPost:
-		s.handleSessionBatch(w, r, id, entry)
+		serveBatch(s, w, r, entry, func(items []BatchRequestItem) serveOp {
+			reqs := make([]model.Request, len(items))
+			for i, it := range items {
+				reqs[i] = model.Request{Server: it.Server, Time: it.at()}
+			}
+			return &sessionBatch{id: id, u: u, reqs: reqs}
+		})
 	case op == "" && r.Method == http.MethodGet:
-		if !s.lockEntry(w, r, entry) {
+		if !entry.lock(s, w, r) {
 			return
 		}
-		state := sessionState(id, entry.sess)
+		state := sessionState(id, u.Session)
 		entry.lk.unlock()
 		writeJSON(w, http.StatusOK, state)
 	case op == "schedule" && r.Method == http.MethodGet:
-		if !s.lockEntry(w, r, entry) {
+		if !entry.lock(s, w, r) {
 			return
 		}
-		sched := entry.sess.Schedule()
+		sched := u.Schedule()
 		entry.lk.unlock()
 		writeJSON(w, http.StatusOK, sched)
 	case op == "trace" && r.Method == http.MethodGet:
-		if !s.lockEntry(w, r, entry) {
+		if !entry.lock(s, w, r) {
 			return
 		}
-		events := entry.sess.Trace()
-		dropped := entry.sess.TraceDropped()
+		events := u.Trace()
+		dropped := u.TraceDropped()
 		entry.lk.unlock()
 		if events == nil {
 			events = []datacache.TraceEvent{} // render [] rather than null
@@ -614,16 +465,16 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 			ID: id, Cap: s.traceCap, Dropped: dropped, Events: events,
 		})
 	case op == "slo" && r.Method == http.MethodGet:
-		if !s.lockEntry(w, r, entry) {
+		if !entry.lock(s, w, r) {
 			return
 		}
-		slo := entry.sess.SLO()
+		slo := u.SLO()
 		var snap datacache.SLOSnapshot
 		if slo != nil {
 			snap = slo.Snapshot()
 		}
-		breakdown := entry.sess.CostBreakdown()
-		state := sessionState(id, entry.sess)
+		breakdown := u.CostBreakdown()
+		state := sessionState(id, u.Session)
 		entry.lk.unlock()
 		if slo == nil {
 			s.httpError(w, r, http.StatusNotFound, fmt.Errorf("session %q has SLO tracking disabled", id))
@@ -639,11 +490,11 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 			Breakdown: breakdown,
 		})
 	case op == "shadow" && r.Method == http.MethodGet:
-		if !s.lockEntry(w, r, entry) {
+		if !entry.lock(s, w, r) {
 			return
 		}
-		rep := entry.sess.ShadowReport()
-		state := sessionState(id, entry.sess)
+		rep := u.ShadowReport()
+		state := sessionState(id, u.Session)
 		entry.lk.unlock()
 		if rep == nil {
 			s.httpError(w, r, http.StatusNotFound, fmt.Errorf("session %q has no shadow policies", id))
@@ -661,11 +512,11 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 	case op == "record" && r.Method == http.MethodGet:
 		s.handleRecordDownload(w, r, id)
 	case op == "" && r.Method == http.MethodDelete:
-		if !s.lockEntry(w, r, entry) {
+		if !entry.lock(s, w, r) {
 			return
 		}
-		sched, err := entry.sess.Close()
-		state := sessionState(id, entry.sess)
+		sched, err := u.Close()
+		state := sessionState(id, u.Session)
 		entry.lk.unlock()
 		if err != nil {
 			s.httpError(w, r, http.StatusInternalServerError, err)
@@ -673,7 +524,7 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 		}
 		if s.sessions.delete(id) { // racing DELETEs must tear down once
 			s.sessionsOpen.Add(-1)
-			s.dropSessionGauges(id, entry)
+			entry.retire(s.tracer)
 		}
 		writeJSON(w, http.StatusOK, SessionCloseResponse{State: state, Schedule: sched})
 	default:
@@ -689,10 +540,10 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 func (s *Server) collectAlerts() ([]SessionAlert, int) {
 	var out []SessionAlert
 	firing := 0
-	s.sessions.forEach(func(id string, entry *sessionEntry) {
+	s.sessions.forEach(func(id string, entry *servingEntry[*liveSession]) {
 		_ = entry.lk.lock(context.Background())
 		// Merged standings: SLO rules plus the shadow_beats_live rule.
-		alerts := entry.sess.Alerts()
+		alerts := entry.unit.Alerts()
 		entry.lk.unlock()
 		for _, a := range alerts {
 			if a.State == datacache.AlertInactive {

@@ -37,10 +37,6 @@ type PolicySpec struct {
 	Label          string
 }
 
-// ShadowPolicy is the former name of PolicySpec, kept as an alias for
-// existing callers; shadows and live policies share one grammar now.
-type ShadowPolicy = PolicySpec
-
 // Spec renders the canonical spec string — a fixed point of
 // ParsePolicySpec: parsing a canonical rendering yields a spec that
 // renders identically.
@@ -198,14 +194,6 @@ func parsePolicySpec(spec string) (PolicySpec, error) {
 		}
 	}
 	return sp, nil
-}
-
-// ParseShadowPolicy parses one policy spec.
-//
-// Deprecated: shadows and live policies share one grammar; use
-// ParsePolicySpec.
-func ParseShadowPolicy(spec string) (ShadowPolicy, error) {
-	return ParsePolicySpec(spec)
 }
 
 // WithShadowPolicies parses policy specs into the ShadowPolicies option

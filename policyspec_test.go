@@ -12,28 +12,31 @@ import (
 // depends on this (StreamInfo.Policy stores Spec() and replay re-parses
 // it), so a drift here silently breaks bit-for-bit replay.
 func TestPolicySpecRoundTrip(t *testing.T) {
-	specs := []string{
-		"sc",
-		"sc:window=1.5",
-		"sc:epoch=16",
-		"sc:window=2:epoch=8",
-		"sc:window=2,epoch=8", // comma and colon spellings parse alike
-		"ttl:window=0.5",
-		"migrate",
-		"replicate",
-		"keep",
-		"hybrid",
-		"hybrid:horizon=8",
-		"hybrid:order=2",
-		"hybrid:horizon=8,order=2",
-		"hybrid:horizon=4,order=3,window=1.5,epoch=32",
+	specs := map[string]string{ // spec -> its canonical rendering
+		"sc":                       "sc",
+		"sc:window=1.5":            "sc:window=1.5",
+		"sc:epoch=16":              "sc:epoch=16",
+		"sc:window=2:epoch=8":      "sc:window=2:epoch=8",
+		"sc:window=2,epoch=8":      "sc:window=2:epoch=8", // comma and colon spellings parse alike
+		"ttl:window=0.5":           "ttl:window=0.5",
+		"migrate":                  "migrate",
+		"replicate":                "replicate",
+		"keep":                     "keep",
+		"hybrid":                   "hybrid",
+		"hybrid:horizon=8":         "hybrid:horizon=8",
+		"hybrid:order=2":           "hybrid:order=2",
+		"hybrid:horizon=8,order=2": "hybrid:horizon=8,order=2",
+		"hybrid:horizon=4,order=3,window=1.5,epoch=32": "hybrid:horizon=4,order=3,window=1.5,epoch=32",
 	}
-	for _, spec := range specs {
+	for spec, want := range specs {
 		sp, err := ParsePolicySpec(spec)
 		if err != nil {
 			t.Fatalf("ParsePolicySpec(%q): %v", spec, err)
 		}
 		canon := sp.Spec()
+		if canon != want {
+			t.Errorf("ParsePolicySpec(%q).Spec() = %q, want %q", spec, canon, want)
+		}
 		sp2, err := ParsePolicySpec(canon)
 		if err != nil {
 			t.Fatalf("canonical %q (from %q) does not re-parse: %v", canon, spec, err)
@@ -58,6 +61,11 @@ func TestPolicySpecRejects(t *testing.T) {
 		"hybrid:horizon=0":  "horizon",
 		"hybrid:order=0":    "order",
 		"ttl":               "window",
+		"ttl:window=0":      "bad window",
+		"sc:window=-1":      "bad window",
+		"sc:epoch=0":        "bad epoch",
+		"sc:epoch":          "not key=value",
+		"sc:bogus=1":        "unknown key",
 		"warp":              "unknown policy",
 		"":                  "empty",
 	}
@@ -66,6 +74,12 @@ func TestPolicySpecRejects(t *testing.T) {
 			t.Errorf("ParsePolicySpec(%q) accepted, want error mentioning %q", spec, want)
 		} else if !strings.Contains(err.Error(), want) {
 			t.Errorf("ParsePolicySpec(%q) = %v, want mention of %q", spec, err, want)
+		}
+	}
+	if dup, err := WithShadowPolicies("migrate", "migrate"); err == nil {
+		// Parsing succeeds; the duplicate label is rejected at session create.
+		if _, err := NewSession(3, 1, Unit, &SessionOptions{ShadowPolicies: dup}); err == nil || !strings.Contains(err.Error(), "duplicate") {
+			t.Errorf("duplicate shadow labels at create: err = %v, want duplicate-label error", err)
 		}
 	}
 }

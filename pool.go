@@ -267,7 +267,7 @@ func cloneSessionOptions(tpl SessionOptions) *SessionOptions {
 		o.SLORules = append([]AlertRule(nil), tpl.SLORules...)
 	}
 	if tpl.ShadowPolicies != nil {
-		o.ShadowPolicies = append([]ShadowPolicy(nil), tpl.ShadowPolicies...)
+		o.ShadowPolicies = append([]PolicySpec(nil), tpl.ShadowPolicies...)
 	}
 	return &o
 }

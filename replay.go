@@ -36,7 +36,7 @@ type ReplayOptions struct {
 	// Window is the rolling hindsight-ratio window in requests (default
 	// DefaultShadowWindow).
 	Window int
-	// Shadows, when non-empty, runs these policy specs (ParseShadowPolicy
+	// Shadows, when non-empty, runs these policy specs (ParsePolicySpec
 	// syntax, e.g. "sc", "ttl:window=2", "migrate") as shadows on every
 	// replayed stream and reports the aggregated panel.
 	Shadows []string
@@ -159,7 +159,7 @@ func Replay(recs []*recorder.Recording, opts *ReplayOptions) (*ReplayReport, err
 	if window <= 0 {
 		window = DefaultShadowWindow
 	}
-	var shadows []ShadowPolicy
+	var shadows []PolicySpec
 	if len(opts.Shadows) > 0 {
 		var err error
 		shadows, err = WithShadowPolicies(opts.Shadows...)

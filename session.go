@@ -105,7 +105,7 @@ type SessionOptions struct {
 	// Build the slice with WithShadowPolicies(specs...); read the
 	// standings via Shadows / ShadowReport. At most engine.MaxShadows
 	// policies; labels must be unique and differ from the live policy's.
-	ShadowPolicies []ShadowPolicy
+	ShadowPolicies []PolicySpec
 	// ShadowWindow sets the rolling cost window (requests) behind the
 	// shadow-vs-live windowed comparison. Zero falls back to SLOWindow,
 	// then DefaultShadowWindow.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"datacache"
@@ -108,42 +107,7 @@ func TestShadowSelfEquivalence(t *testing.T) {
 	}
 }
 
-func TestParseShadowPolicy(t *testing.T) {
-	good := map[string]string{
-		"sc":             "sc",
-		"sc:epoch=16":    "sc:epoch=16",
-		"sc:window=1.5":  "sc:window=1.5",
-		"ttl:window=0.5": "ttl:window=0.5",
-		"migrate":        "migrate",
-		"replicate":      "replicate",
-	}
-	for spec, want := range good {
-		sp, err := datacache.ParseShadowPolicy(spec)
-		if err != nil {
-			t.Errorf("ParseShadowPolicy(%q): %v", spec, err)
-			continue
-		}
-		if got := sp.Spec(); got != want {
-			t.Errorf("ParseShadowPolicy(%q).Spec() = %q, want %q", spec, got, want)
-		}
-	}
-	bad := []string{"", "ttl", "ttl:window=0", "sc:epoch=0", "sc:window=-1", "sc:bogus=1", "sc:epoch", "warp"}
-	for _, spec := range bad {
-		if _, err := datacache.ParseShadowPolicy(spec); err == nil {
-			t.Errorf("ParseShadowPolicy(%q) should fail", spec)
-		}
-	}
-	if _, err := datacache.WithShadowPolicies("migrate", "migrate"); err == nil {
-		// Parsing succeeds; the duplicate label is rejected at session create.
-		if _, err := datacache.NewSession(3, 1, datacache.Unit, &datacache.SessionOptions{
-			ShadowPolicies: mustShadows(t, "migrate", "migrate"),
-		}); err == nil || !strings.Contains(err.Error(), "duplicate") {
-			t.Errorf("duplicate shadow labels at create: err = %v, want duplicate-label error", err)
-		}
-	}
-}
-
-func mustShadows(t *testing.T, specs ...string) []datacache.ShadowPolicy {
+func mustShadows(t *testing.T, specs ...string) []datacache.PolicySpec {
 	t.Helper()
 	sps, err := datacache.WithShadowPolicies(specs...)
 	if err != nil {
