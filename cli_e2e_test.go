@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"datacache"
 	"datacache/internal/recorder"
 	"datacache/internal/service"
 	"datacache/internal/trace"
@@ -607,6 +609,76 @@ func TestCLIDcreplaySmoke(t *testing.T) {
 		t.Fatal("dcreplay verified a tampered recording")
 	} else if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
 		t.Fatalf("dcreplay tampered recording: %v", err)
+	}
+}
+
+// TestCLIDcreplayVersionedCost: dcreplay accepts a last-bit cost
+// difference in a dcrec version-1 recording (priced by an older
+// summation order) and fails the same difference in a version-2
+// recording as a bitwise mismatch (exit 2).
+func TestCLIDcreplayVersionedCost(t *testing.T) {
+	bins := buildTools(t, "dcreplay")
+	dir := t.TempDir()
+	w, err := recorder.NewWriter(recorder.Options{Dir: dir, Source: "e2e"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := datacache.NewSession(4, 1, datacache.CostModel{Mu: 1.3, Lambda: 2.7},
+		&datacache.SessionOptions{Recorder: w, RecordSession: "sn-1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := sess.Serve(datacache.ServerID(i*7%4+1), 0.37*float64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := recorder.ReadPath(dir)
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("read %d recordings: %v", len(recs), err)
+	}
+	rec := recs[0]
+	for i := len(rec.Records) - 1; i >= 0; i-- {
+		if rec.Records[i].Kind == recorder.KindServe {
+			rec.Records[i].Cost = math.Nextafter(rec.Records[i].Cost, math.Inf(1))
+			break
+		}
+	}
+	var buf bytes.Buffer
+	enc, err := recorder.NewEncoder(&buf, recorder.ModeBinary, "e2e-versioned")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rec.Records {
+		if err := enc.Encode(&rec.Records[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint16{1, 2} {
+		raw := append([]byte(nil), buf.Bytes()...)
+		raw[6], raw[7] = byte(v), byte(v>>8) // u16 version after the 6-byte magic
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("v%d.wal", v))
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := exec.Command(bins["dcreplay"], "-in", path).Run()
+		switch {
+		case v == 1 && err != nil:
+			t.Errorf("dcreplay rejected a v1 recording with a last-bit cost difference: %v", err)
+		case v == 2:
+			if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+				t.Errorf("dcreplay on a v2 recording with a last-bit cost difference: %v, want exit 2", err)
+			}
+		}
 	}
 }
 

@@ -222,7 +222,9 @@ func (s *Stream) Finish(end float64) (*model.Schedule, error) {
 // Snapshot returns the schedule as if the horizon ended at the last served
 // request: live copies are truncated there. After Finish it returns the
 // final schedule. The returned schedule is a copy; mutating it does not
-// affect the stream.
+// affect the stream. Snapshot copies and normalizes the whole history —
+// O(n log n) — so it serves schedule views only; pricing goes through
+// Cost, which never materializes a schedule.
 func (s *Stream) Snapshot() *model.Schedule {
 	snap := &model.Schedule{
 		Caches:    append([]model.CacheInterval(nil), s.sched.Caches...),
@@ -239,11 +241,27 @@ func (s *Stream) Snapshot() *model.Schedule {
 	return snap
 }
 
-// Cost prices the Snapshot under cm — the online cost accrued through the
-// last served request. It matches online.Run's accounting exactly: both
-// truncate live copies at the horizon and price the normalized schedule.
+// Cost prices the stream under cm — the online cost accrued through the
+// last served request (through the horizon after Finish). It is O(M) and
+// allocation-free: each server's closed durations are already summed in
+// time order in its accumulator, the open copy's span up to the last
+// request joins that server's subtotal, and the subtotals join the total
+// in server order. That is model.Schedule.Cost's summation rule, and the
+// engine closes an interval with the same subtraction it accumulates, so
+// Cost equals Snapshot().Cost(cm) — and hence online.Run's price of the
+// Finish schedule — bit for bit. The one exception is a Normalize merge of
+// two intervals on one server at most 1e-9 apart: the schedule then
+// prices the gap too, at most Mu·1e-9 per merge.
 func (s *Stream) Cost(cm model.CostModel) float64 {
-	return s.Snapshot().Cost(cm)
+	var total float64
+	for j := 1; j <= s.st.M; j++ {
+		sub := s.cacheDur[j]
+		if !s.finished && s.alive[j] {
+			sub += s.last - s.created[j]
+		}
+		total += sub
+	}
+	return cm.Mu*total + cm.Lambda*float64(len(s.sched.Transfers))
 }
 
 // ServerCost attributes one server's share of a stream's cost: the
@@ -284,28 +302,6 @@ func (s *Stream) CostBreakdown(cm model.CostModel) []ServerCost {
 		})
 	}
 	return out
-}
-
-// CostLive prices the stream's accumulated cost in O(M) from the same
-// per-server accumulators CostBreakdown reads, without materializing a
-// schedule snapshot. It uses the same horizon as Cost (live copies
-// truncated at the last served request) but a different summation order —
-// per-server closed durations instead of the normalized schedule's merged
-// intervals — so it equals Cost only to floating-point accumulation order
-// (exactly on dyadic workloads). Cost remains the canonical pricing,
-// bit-identical to online.Run; CostLive is the per-request feed for
-// accounting that runs every serve, such as shadow-policy windows.
-func (s *Stream) CostLive(cm model.CostModel) float64 {
-	var dur float64
-	var xfers int
-	for j := model.ServerID(1); int(j) <= s.st.M; j++ {
-		dur += s.cacheDur[j]
-		if !s.finished && s.alive[j] {
-			dur += s.last - s.created[j]
-		}
-		xfers += s.xferIn[j]
-	}
-	return cm.Mu*dur + cm.Lambda*float64(xfers)
 }
 
 // N returns the number of requests served.

@@ -1,6 +1,8 @@
 package engine_test
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"datacache/internal/engine"
@@ -31,8 +33,11 @@ func decodeInstance(data []byte) (*model.Sequence, model.CostModel) {
 	return seq, cm
 }
 
-// FuzzEngineSC drives the engine deciders directly through Replay on
-// arbitrary instances: every schedule must validate, the canonical SC must
+// FuzzEngineSC drives the engine deciders directly on arbitrary
+// instances: at every prefix the O(M) Stream.Cost must match the
+// normalized snapshot's price (within 1e-9 relative — fuzzed times can
+// put two intervals on one server closer than Normalize's merge
+// tolerance), every schedule must validate, the canonical SC must
 // stay within Theorem 3's factor 3 of the FastDP optimum, and the epoch
 // variant within 3·OPT plus an additive reset slack (each reset throws away
 // live copies, worth at most one re-fetch of 3λ in the per-epoch
@@ -56,7 +61,7 @@ func FuzzEngineSC(f *testing.F) {
 		tol := 1e-6 * (1 + opt.Cost())
 
 		check := func(name string, d engine.Decider) *model.Schedule {
-			sched, err := engine.Replay(d, seq, cm)
+			sched, err := streamPriced(d, seq, cm)
 			if err != nil {
 				t.Fatalf("%s: %v\nseq=%+v cm=%+v", name, err, seq, cm)
 			}
@@ -93,4 +98,23 @@ func FuzzEngineSC(f *testing.F) {
 		check("migrate", &engine.Migrate{})
 		check("replicate", &engine.Replicate{})
 	})
+}
+
+// streamPriced is engine.Replay with a pricing cross-check after every
+// request: Stream.Cost against Snapshot().Cost, within 1e-9 relative.
+func streamPriced(d engine.Decider, seq *model.Sequence, cm model.CostModel) (*model.Schedule, error) {
+	st, err := engine.NewStream(d, engine.State{M: seq.M, Origin: seq.Origin, Model: cm})
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range seq.Requests {
+		if _, err := st.Serve(r.Server, r.Time); err != nil {
+			return nil, err
+		}
+		got, want := st.Cost(cm), st.Snapshot().Cost(cm)
+		if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
+			return nil, fmt.Errorf("request %d: Stream.Cost %v != Snapshot().Cost %v", i+1, got, want)
+		}
+	}
+	return st.Finish(seq.End())
 }

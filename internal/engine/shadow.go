@@ -50,8 +50,8 @@ type ShadowDecider struct {
 	D    Decider
 }
 
-// ShadowTotals is the cheap accumulator readout of one shadow policy:
-// lifetime cost priced by the O(M) CostLive path plus the stream's
+// ShadowTotals is the accumulator readout of one shadow policy: lifetime
+// cost priced by the stream's O(M) Cost plus its
 // hit/transfer/drop counters and how often the shadow disagreed with the
 // live decision.
 type ShadowTotals struct {
@@ -71,7 +71,7 @@ const MaxShadows = 64
 type shadowState struct {
 	name       string
 	stream     *Stream
-	prevCost   float64 // CostLive after the previous request
+	prevCost   float64 // Cost after the previous request
 	win        CostWindow
 	divergence int
 	err        error // first decider/stream error; the shadow is dead after
@@ -81,10 +81,9 @@ type shadowState struct {
 // stream: every live request is replayed into each shadow's private
 // Stream, so after n requests each shadow's ledger is exactly the state
 // that policy would have reached on the same traffic. Accounting per
-// request is O(M) per shadow (CostLive) and allocation-free in steady
-// state; exact schedule-priced costs are only computed by Snapshot-style
-// accessors. A shadow whose decider errors is marked dead and skipped
-// from then on — live serving never fails because of a shadow.
+// request is O(M) per shadow (Stream.Cost) and allocation-free in steady
+// state. A shadow whose decider errors is marked dead and skipped from
+// then on — live serving never fails because of a shadow.
 //
 // ShadowSet is not safe for concurrent use; callers serialize it with
 // the live stream they mirror (datacache.Session does both under its
@@ -147,7 +146,7 @@ func (ss *ShadowSet) Serve(server model.ServerID, t float64, live Decision, live
 			sh.err = err
 			continue
 		}
-		c := sh.stream.CostLive(ss.cm)
+		c := sh.stream.Cost(ss.cm)
 		sh.win.Add(c - sh.prevCost)
 		sh.prevCost = c
 		if d.Hit != live.Hit || d.From != live.From {
@@ -165,16 +164,9 @@ func (ss *ShadowSet) Len() int { return len(ss.shadows) }
 // shared; callers must not mutate it.
 func (ss *ShadowSet) Names() []string { return ss.names }
 
-// CostLive returns shadow i's running cost priced by the O(M)
-// accumulator path — the per-serve gauge feed.
-func (ss *ShadowSet) CostLive(i int) float64 {
-	return ss.shadows[i].stream.CostLive(ss.cm)
-}
-
-// Cost returns shadow i's exact schedule-priced cost — the same
-// computation Stream.Cost performs for the live policy, so a shadow
-// running the live decider reproduces the live cost bit for bit. O(n);
-// meant for report/route queries, not the serve path.
+// Cost returns shadow i's running cost — the same O(M) Stream.Cost the
+// live policy is priced by, so a shadow running the live decider
+// reproduces the live cost bit for bit.
 func (ss *ShadowSet) Cost(i int) float64 {
 	return ss.shadows[i].stream.Cost(ss.cm)
 }
@@ -186,11 +178,11 @@ func (ss *ShadowSet) WindowedCost(i int) float64 { return ss.shadows[i].win.Sum(
 // window.
 func (ss *ShadowSet) LiveWindowedCost() float64 { return ss.liveWin.Sum() }
 
-// Totals returns shadow i's cheap accumulator readout.
+// Totals returns shadow i's accumulator readout.
 func (ss *ShadowSet) Totals(i int) ShadowTotals {
 	sh := &ss.shadows[i]
 	return ShadowTotals{
-		Cost:       sh.stream.CostLive(ss.cm),
+		Cost:       sh.stream.Cost(ss.cm),
 		Hits:       sh.stream.Hits(),
 		Transfers:  sh.stream.Transfers(),
 		Drops:      sh.stream.Drops(),

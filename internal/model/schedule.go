@@ -52,24 +52,32 @@ func (s *Schedule) AddTransfer(from, to ServerID, at float64) {
 }
 
 // Cost prices the schedule under cm: Mu times the total cached time plus
-// Lambda per transfer. Call Normalize first if intervals may overlap on a
-// server, otherwise overlapping stretches are charged more than once.
+// Lambda per transfer. The cached time is summed by one fixed rule:
+// interval lengths are added into a per-server subtotal in slice order,
+// and each server's subtotal joins the total when the server changes. On
+// a normalized schedule (sorted by server, then time) that is exactly
+// "per server in time order, servers in ascending order" — the rule
+// engine.Stream.Cost follows from its per-server accumulators, so the
+// two agree bit for bit. Call Normalize first if intervals may overlap
+// on a server, otherwise overlapping stretches are charged more than
+// once.
 func (s *Schedule) Cost(cm CostModel) float64 {
-	total := 0.0
-	for _, h := range s.Caches {
-		total += cm.Mu * h.Length()
-	}
-	total += cm.Lambda * float64(len(s.Transfers))
-	return total
+	return s.CachingCost(cm) + s.TransferCost(cm)
 }
 
-// CachingCost returns only the Mu * time part of the cost.
+// CachingCost returns only the Mu * time part of the cost, summed by the
+// rule Cost documents.
 func (s *Schedule) CachingCost(cm CostModel) float64 {
-	total := 0.0
+	var total, sub float64
+	var cur ServerID
 	for _, h := range s.Caches {
-		total += cm.Mu * h.Length()
+		if h.Server != cur {
+			total += sub
+			sub, cur = 0, h.Server
+		}
+		sub += h.Length()
 	}
-	return total
+	return cm.Mu * (total + sub)
 }
 
 // TransferCost returns only the Lambda * count part of the cost.

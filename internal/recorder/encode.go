@@ -23,14 +23,18 @@ import (
 //                f64 optimal | u8 traceLen | trace bytes
 //
 // NDJSON mode is the same stream as text: a header line
-// {"format":"dcrec","version":1,...} followed by one Record per line.
+// {"format":"dcrec","version":2,...} followed by one Record per line.
 // The full specification, including compatibility rules, is DESIGN.md §12.
 
 // Format constants.
 const (
-	// FormatVersion is the wire version this build writes. Readers accept
-	// any file whose major version matches (see DESIGN.md §12).
-	FormatVersion uint16 = 1
+	// FormatVersion is the wire version this build writes. Version 2
+	// has version 1's layout; it marks recordings whose costs were
+	// priced by the engine's per-server summation rule. Readers accept
+	// versions minFormatVersion..FormatVersion (see DESIGN.md §12).
+	FormatVersion uint16 = 2
+	// minFormatVersion is the oldest wire version this build reads.
+	minFormatVersion uint16 = 1
 
 	// ModeBinary and ModeNDJSON name the two encodings.
 	ModeBinary = "binary"
@@ -130,25 +134,17 @@ func (e *Encoder) Encode(rec *Record) error {
 		}
 		return e.w.WriteByte('\n')
 	}
-	payload, err := e.marshalPayload(rec)
+	// The whole frame is assembled in the reused scratch buffer and
+	// written once, so encoding a serve record allocates nothing.
+	frame, err := appendPayload(append(e.buf[:0], byte(rec.Kind), 0, 0, 0, 0), rec)
 	if err != nil {
 		return err
 	}
-	var hdr [5]byte
-	hdr[0] = byte(rec.Kind)
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:1])
-	crc.Write(payload)
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	if _, err := e.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := e.w.Write(payload); err != nil {
-		return err
-	}
-	_, err = e.w.Write(sum[:])
+	binary.LittleEndian.PutUint32(frame[1:5], uint32(len(frame)-5))
+	crc := crc32.Update(crc32.ChecksumIEEE(frame[:1]), crc32.IEEETable, frame[5:])
+	frame = binary.LittleEndian.AppendUint32(frame, crc)
+	e.buf = frame
+	_, err = e.w.Write(frame)
 	return err
 }
 
@@ -160,7 +156,8 @@ func (e *Encoder) Flush() error { return e.w.Flush() }
 // logical size (written + buffered), not just what reached the file.
 func (e *Encoder) Buffered() int { return e.w.Buffered() }
 
-func (e *Encoder) marshalPayload(rec *Record) ([]byte, error) {
+// appendPayload appends rec's binary payload to buf.
+func appendPayload(buf []byte, rec *Record) ([]byte, error) {
 	switch rec.Kind {
 	case KindOpen:
 		if rec.Info == nil {
@@ -170,16 +167,12 @@ func (e *Encoder) marshalPayload(rec *Record) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		buf := e.buf[:0]
 		buf = binary.LittleEndian.AppendUint32(buf, rec.Stream)
-		buf = append(buf, infoJSON...)
-		e.buf = buf
-		return buf, nil
+		return append(buf, infoJSON...), nil
 	case KindServe:
 		if len(rec.TraceID) > maxTraceID {
 			return nil, fmt.Errorf("recorder: trace id of %d bytes exceeds %d", len(rec.TraceID), maxTraceID)
 		}
-		buf := e.buf[:0]
 		buf = binary.LittleEndian.AppendUint32(buf, rec.Stream)
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rec.Time))
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(rec.Server))
@@ -193,9 +186,7 @@ func (e *Encoder) marshalPayload(rec *Record) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rec.Cost))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rec.Optimal))
 		buf = append(buf, byte(len(rec.TraceID)))
-		buf = append(buf, rec.TraceID...)
-		e.buf = buf
-		return buf, nil
+		return append(buf, rec.TraceID...), nil
 	default:
 		return nil, fmt.Errorf("recorder: unknown record kind %d", rec.Kind)
 	}
@@ -249,8 +240,8 @@ func (d *Decoder) readBinaryHeader() error {
 		return fmt.Errorf("recorder: short header: %w", ErrTornTail)
 	}
 	version := binary.LittleEndian.Uint16(hdr[0:2])
-	if version != FormatVersion {
-		return fmt.Errorf("recorder: unsupported format version %d (this build reads %d)", version, FormatVersion)
+	if err := checkVersion(version); err != nil {
+		return err
 	}
 	metaLen := binary.LittleEndian.Uint32(hdr[2:6])
 	if metaLen > maxFramePayload {
@@ -275,8 +266,16 @@ func (d *Decoder) readNDJSONHeader() error {
 	if err := json.Unmarshal(line, &d.meta); err != nil || d.meta.Format != "dcrec" {
 		return fmt.Errorf("recorder: not a dcrec recording (bad header line): %w", ErrTornTail)
 	}
-	if d.meta.Version != FormatVersion {
-		return fmt.Errorf("recorder: unsupported format version %d (this build reads %d)", d.meta.Version, FormatVersion)
+	if err := checkVersion(d.meta.Version); err != nil {
+		return err
+	}
+	return nil
+}
+
+// checkVersion rejects a header version this build cannot read.
+func checkVersion(v uint16) error {
+	if v < minFormatVersion || v > FormatVersion {
+		return fmt.Errorf("recorder: unsupported format version %d (this build reads %d..%d)", v, minFormatVersion, FormatVersion)
 	}
 	return nil
 }

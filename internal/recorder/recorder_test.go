@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
@@ -429,5 +430,118 @@ func TestCloseStreamStopsReEmission(t *testing.T) {
 	}
 	if last.Streams[b] == nil {
 		t.Fatal("live stream not re-emitted after rotation")
+	}
+}
+
+// TestDecoderVersionRange: versions 1 and 2 decode (same layout), any
+// other header version is rejected in both modes.
+func TestDecoderVersionRange(t *testing.T) {
+	for _, mode := range []string{ModeBinary, ModeNDJSON} {
+		raw := encodeAll(t, mode, sampleRecords(1, 3))
+		for v := uint16(0); v <= FormatVersion+1; v++ {
+			b := append([]byte(nil), raw...)
+			if mode == ModeBinary {
+				b[6], b[7] = byte(v), byte(v>>8)
+			} else {
+				b = bytes.Replace(b, []byte(fmt.Sprintf(`"version":%d`, FormatVersion)), []byte(fmt.Sprintf(`"version":%d`, v)), 1)
+			}
+			rec, err := ReadAll(bytes.NewReader(b))
+			ok := v >= 1 && v <= 2
+			if ok && (err != nil || rec.Meta.Version != v || rec.ServeCount() != 3) {
+				t.Errorf("%s v%d: rejected or misread: %v", mode, v, err)
+			}
+			if !ok && err == nil {
+				t.Errorf("%s v%d: accepted an unsupported version", mode, v)
+			}
+		}
+	}
+}
+
+// TestWriterAppendAllocFree: handing a serve record to the writer —
+// batch append plus the drain goroutine's encode — allocates nothing.
+func TestWriterAppendAllocFree(t *testing.T) {
+	w, err := NewWriter(Options{Dir: t.TempDir(), Source: "unit"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	id := w.OpenStream(StreamInfo{Session: "sn-1", M: 2, Origin: 1, Mu: 1, Lambda: 1})
+	rec := Record{Kind: KindServe, Stream: id, Server: 1, Cost: 1.5, Optimal: 1, TraceID: "00112233445566778899aabbccddeeff"}
+	for i := 0; i < 2*DefaultBuffer; i++ { // warm the batch and frame buffers
+		rec.Time = float64(i + 1)
+		_ = w.Append(rec)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	i := 2 * DefaultBuffer
+	allocs := testing.AllocsPerRun(10*DefaultBuffer, func() {
+		i++
+		rec.Time = float64(i)
+		_ = w.Append(rec)
+	})
+	if allocs != 0 {
+		t.Fatalf("Append allocates %v times per record", allocs)
+	}
+}
+
+// TestWriterConcurrentAppendOrder: appenders on several goroutines,
+// each with its own stream, interleaved with flushes. Every record
+// lands, and each stream's records keep their call order behind its
+// open record.
+func TestWriterConcurrentAppendOrder(t *testing.T) {
+	dir := t.TempDir()
+	w, err := NewWriter(Options{Dir: dir, Buffer: 64, Source: "unit"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, per = 4, 2000
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			id := w.OpenStream(StreamInfo{Session: "sn", M: 2, Origin: 1, Mu: 1, Lambda: 1})
+			for i := 0; i < per; i++ {
+				if err := w.Append(Record{Kind: KindServe, Stream: id, Time: float64(i + 1), Server: 1}); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%500 == 0 {
+					if err := w.Flush(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+			w.CloseStream(id)
+		}()
+	}
+	wg.Wait()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.Stats(); st.Records != writers*(per+1) || st.Dropped != 0 {
+		t.Fatalf("stats = %+v, want %d records", st, writers*(per+1))
+	}
+	recs, err := ReadPath(dir)
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("read %d recordings: %v", len(recs), err)
+	}
+	last := map[uint32]float64{}
+	for _, r := range recs[0].Records {
+		switch r.Kind {
+		case KindOpen:
+			if _, dup := last[r.Stream]; dup {
+				t.Fatalf("stream %d opened twice", r.Stream)
+			}
+			last[r.Stream] = 0
+		case KindServe:
+			prev, open := last[r.Stream]
+			if !open || r.Time != prev+1 {
+				t.Fatalf("stream %d: record t=%v after t=%v (open=%v)", r.Stream, r.Time, prev, open)
+			}
+			last[r.Stream] = r.Time
+		}
 	}
 }

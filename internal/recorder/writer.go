@@ -25,9 +25,13 @@ const (
 // Options.SyncInterval overrides it.
 const DefaultSyncInterval = time.Second
 
-// DefaultBuffer is the async append channel capacity unless
-// Options.Buffer overrides it.
+// DefaultBuffer is the pending-batch capacity unless Options.Buffer
+// overrides it.
 const DefaultBuffer = 1024
+
+// batchLinger bounds how long an appended record may wait in a partial
+// batch before the drain goroutine picks it up on its own.
+const batchLinger = 5 * time.Millisecond
 
 // Options configures a Writer.
 type Options struct {
@@ -48,10 +52,10 @@ type Options struct {
 	// RotateAge starts a new file once the current one is this old
 	// (0 disables age rotation).
 	RotateAge time.Duration
-	// Buffer is the async append channel capacity (default
-	// DefaultBuffer).
+	// Buffer is how many appended-but-unwritten messages the pending
+	// batch holds (default DefaultBuffer).
 	Buffer int
-	// DropOnFull sheds records when the channel is full instead of
+	// DropOnFull sheds records when the pending batch is full instead of
 	// blocking the serving path; drops are counted in Stats. The default
 	// (false) blocks, trading latency for completeness.
 	DropOnFull bool
@@ -71,25 +75,49 @@ type Stats struct {
 	Mode      string `json:"mode"`
 }
 
-// wmsg is one message to the drain goroutine: exactly one field is set.
+// wop discriminates wmsg.
+type wop uint8
+
+const (
+	opRecord      wop = iota // encode rec
+	opCloseStream            // retire stream id from the rotation table
+	opFlush                  // flush buffered bytes to the OS
+	opSync                   // flush + fsync
+	opClose                  // flush, fsync, close the file, exit
+)
+
+// wmsg is one message to the drain goroutine. Records travel by value,
+// so appending one allocates nothing.
 type wmsg struct {
-	rec         *Record
-	closeStream uint32     // retire this stream from the rotation table
-	flush       chan error // flush buffered bytes to the OS
-	sync        chan error // flush + fsync
-	close       chan error // flush, fsync, close the file, exit
+	op    wop
+	rec   Record     // opRecord
+	id    uint32     // opCloseStream
+	reply chan error // opFlush, opSync, opClose
 }
 
-// Writer is the asynchronous flight-recorder sink: Append enqueues onto
-// a buffered channel and a single drain goroutine owns the file, so the
-// serving path pays one channel send per decision. OpenStream and Append
-// may be called from any goroutine; Close must not race Append (callers
-// stop serving before closing, as cmd/dcserved does).
+// Writer is the asynchronous flight-recorder sink. Append copies the
+// record into a mutex-guarded pending batch; a single drain goroutine
+// owns the file and swaps the whole batch out at once — when it is half
+// full, on an explicit Flush/Sync/Close, or after batchLinger — so the
+// serving path pays one short critical section per decision and the
+// goroutine handoff is amortized over the batch. Every message (records,
+// stream opens and closes, flushes) goes through the same batch, so the
+// drain sees them in call order. OpenStream and Append may be called
+// from any goroutine; Close must not race Append (callers stop serving
+// before closing, as cmd/dcserved does).
 type Writer struct {
 	opts   Options
-	ch     chan wmsg
 	closed atomic.Bool
 	done   chan struct{}
+
+	// pending is the batch being filled, guarded by bmu; space wakes
+	// appenders blocked on a full batch, wake the drain goroutine.
+	bmu     sync.Mutex
+	pending []wmsg
+	space   *sync.Cond
+	wake    chan struct{}
+	wakeAt  int // pending length that wakes the drain early
+	exited  bool
 
 	nextStream atomic.Uint32
 
@@ -143,10 +171,12 @@ func NewWriter(opts Options) (*Writer, error) {
 	}
 	w := &Writer{
 		opts:    opts,
-		ch:      make(chan wmsg, opts.Buffer),
 		done:    make(chan struct{}),
+		wake:    make(chan struct{}, 1),
+		wakeAt:  (opts.Buffer + 1) / 2,
 		streams: map[uint32]StreamInfo{},
 	}
+	w.space = sync.NewCond(&w.bmu)
 	f, err := w.openFile(1)
 	if err != nil {
 		return nil, err
@@ -199,7 +229,7 @@ func (w *Writer) OpenStream(info StreamInfo) uint32 {
 		w.dropped.Add(1)
 		return id
 	}
-	w.ch <- wmsg{rec: &Record{Kind: KindOpen, Stream: id, Info: &info}}
+	w.enqueue(wmsg{op: opRecord, rec: Record{Kind: KindOpen, Stream: id, Info: &info}}, false)
 	return id
 }
 
@@ -210,50 +240,87 @@ func (w *Writer) CloseStream(id uint32) {
 	if w.closed.Load() {
 		return
 	}
-	w.ch <- wmsg{closeStream: id}
+	w.enqueue(wmsg{op: opCloseStream, id: id}, false)
 }
 
-// Append enqueues one serve record. Under DropOnFull a full channel
-// sheds the record (counted in Stats.Dropped) instead of blocking; a
-// closed writer always sheds.
+// errAppendFull and errWriterClosed are Append's shed reasons.
+var (
+	errAppendFull   = fmt.Errorf("recorder: append buffer full, record dropped")
+	errWriterClosed = fmt.Errorf("recorder: writer is closed")
+)
+
+// Append enqueues one serve record without allocating. Under DropOnFull
+// a full batch sheds the record (counted in Stats.Dropped) instead of
+// blocking; a closed writer always sheds.
 func (w *Writer) Append(rec Record) error {
 	if w.closed.Load() {
 		w.dropped.Add(1)
-		return fmt.Errorf("recorder: writer is closed")
+		return errWriterClosed
 	}
-	msg := wmsg{rec: &rec}
-	if w.opts.DropOnFull {
-		select {
-		case w.ch <- msg:
-		default:
+	return w.enqueue(wmsg{op: opRecord, rec: rec}, w.opts.DropOnFull)
+}
+
+// enqueue adds msg to the pending batch. Records and stream
+// declarations wait for room (or, with shed set, are dropped and
+// counted); a Flush/Sync/Close, which waits for its reply, always fits
+// and wakes the drain at once.
+func (w *Writer) enqueue(msg wmsg, shed bool) error {
+	urgent := msg.reply != nil
+	w.bmu.Lock()
+	for !urgent && len(w.pending) >= w.opts.Buffer && !w.exited {
+		if shed {
+			w.bmu.Unlock()
 			w.dropped.Add(1)
-			return fmt.Errorf("recorder: append buffer full, record dropped")
+			return errAppendFull
 		}
-		return nil
+		w.signal()
+		w.space.Wait()
 	}
-	w.ch <- msg
+	if w.exited {
+		w.bmu.Unlock()
+		w.dropped.Add(1)
+		return errWriterClosed
+	}
+	w.pending = append(w.pending, msg)
+	if urgent || len(w.pending) >= w.wakeAt {
+		w.signal()
+	}
+	w.bmu.Unlock()
 	return nil
+}
+
+// signal wakes the drain goroutine if it is not already due to wake.
+func (w *Writer) signal() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
+}
+
+// control enqueues a flush/sync/close request and waits for its reply.
+func (w *Writer) control(op wop) error {
+	ch := make(chan error, 1)
+	if err := w.enqueue(wmsg{op: op, reply: ch}, false); err != nil {
+		return err
+	}
+	return <-ch
 }
 
 // Flush blocks until every record enqueued before the call is handed to
 // the operating system (buffered bytes flushed, no fsync).
 func (w *Writer) Flush() error {
 	if w.closed.Load() {
-		return fmt.Errorf("recorder: writer is closed")
+		return errWriterClosed
 	}
-	ch := make(chan error, 1)
-	w.ch <- wmsg{flush: ch}
-	return <-ch
+	return w.control(opFlush)
 }
 
 // Sync flushes and fsyncs the current file.
 func (w *Writer) Sync() error {
 	if w.closed.Load() {
-		return fmt.Errorf("recorder: writer is closed")
+		return errWriterClosed
 	}
-	ch := make(chan error, 1)
-	w.ch <- wmsg{sync: ch}
-	return <-ch
+	return w.control(opSync)
 }
 
 // Close flushes, fsyncs and closes the recording, then stops the drain
@@ -264,9 +331,7 @@ func (w *Writer) Close() error {
 		<-w.done
 		return w.firstErr()
 	}
-	ch := make(chan error, 1)
-	w.ch <- wmsg{close: ch}
-	err := <-ch
+	err := w.control(opClose)
 	<-w.done
 	if ferr := w.firstErr(); ferr != nil {
 		return ferr
@@ -338,16 +403,29 @@ func (w *Writer) openFile(seq int) (*openState, error) {
 	return &openState{cf: cf, enc: enc, seq: seq, openedAt: time.Now()}, nil
 }
 
+// take swaps the pending batch out for the drained one (cleared for
+// reuse) and releases appenders waiting for room.
+func (w *Writer) take(drained []wmsg) []wmsg {
+	clear(drained)
+	w.bmu.Lock()
+	batch := w.pending
+	w.pending = drained[:0]
+	w.bmu.Unlock()
+	w.space.Broadcast()
+	return batch
+}
+
 // drain is the single goroutine that owns the recording file.
 func (w *Writer) drain(st *openState) {
 	defer close(w.done)
-	var ticker *time.Ticker
 	var tick <-chan time.Time
 	if w.opts.Sync == SyncInterval {
-		ticker = time.NewTicker(w.opts.SyncInterval)
+		ticker := time.NewTicker(w.opts.SyncInterval)
 		tick = ticker.C
 		defer ticker.Stop()
 	}
+	linger := time.NewTicker(batchLinger)
+	defer linger.Stop()
 	flushSync := func() error {
 		if err := st.enc.Flush(); err != nil {
 			return err
@@ -358,12 +436,23 @@ func (w *Writer) drain(st *openState) {
 		w.fsyncs.Add(1)
 		return nil
 	}
+	var batch []wmsg
 	for {
 		select {
-		case msg := <-w.ch:
-			switch {
-			case msg.rec != nil:
-				if err := st.enc.Encode(msg.rec); err != nil {
+		case <-w.wake:
+		case <-linger.C:
+		case <-tick:
+			if err := flushSync(); err != nil {
+				w.setErr(err)
+			}
+			continue
+		}
+		batch = w.take(batch)
+		for i := range batch {
+			msg := &batch[i]
+			switch msg.op {
+			case opRecord:
+				if err := st.enc.Encode(&msg.rec); err != nil {
 					w.setErr(err)
 					w.dropped.Add(1)
 					continue
@@ -386,32 +475,49 @@ func (w *Writer) drain(st *openState) {
 					}
 					st = next
 				}
-			case msg.closeStream != 0:
-				if _, ok := w.streams[msg.closeStream]; ok {
-					delete(w.streams, msg.closeStream)
-					for i, sid := range w.order {
-						if sid == msg.closeStream {
-							w.order = append(w.order[:i], w.order[i+1:]...)
+			case opCloseStream:
+				if _, ok := w.streams[msg.id]; ok {
+					delete(w.streams, msg.id)
+					for k, sid := range w.order {
+						if sid == msg.id {
+							w.order = append(w.order[:k], w.order[k+1:]...)
 							break
 						}
 					}
 				}
-			case msg.flush != nil:
-				msg.flush <- st.enc.Flush()
-			case msg.sync != nil:
-				msg.sync <- flushSync()
-			case msg.close != nil:
+			case opFlush:
+				msg.reply <- st.enc.Flush()
+			case opSync:
+				msg.reply <- flushSync()
+			case opClose:
 				err := flushSync()
 				if cerr := st.cf.f.Close(); err == nil {
 					err = cerr
 				}
-				msg.close <- err
+				w.exit(batch[i+1:])
+				msg.reply <- err
 				return
 			}
-		case <-tick:
-			if err := flushSync(); err != nil {
-				w.setErr(err)
-			}
+		}
+	}
+}
+
+// exit marks the drain gone, sheds whatever was enqueued behind the
+// close (only possible when Close races an append) and releases every
+// waiting appender.
+func (w *Writer) exit(rest []wmsg) {
+	w.bmu.Lock()
+	w.exited = true
+	rest = append(rest, w.pending...)
+	w.pending = nil
+	w.bmu.Unlock()
+	w.space.Broadcast()
+	for _, msg := range rest {
+		if msg.op == opRecord {
+			w.dropped.Add(1)
+		}
+		if msg.reply != nil {
+			msg.reply <- errWriterClosed
 		}
 	}
 }

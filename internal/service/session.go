@@ -279,10 +279,9 @@ func (u *liveSession) publish(s *Server, id string, ss seriesSet) {
 		}
 	}
 
-	// Shadow standings: the cheap O(M)-per-policy CostLive feed, never the
-	// exact schedule-priced query (that one is O(n) and route-only).
+	// Shadow standings: every policy is priced by the same O(M) Cost.
 	if names := u.ShadowNames(); len(names) > 0 {
-		ss.shadows(s.sessionShadow, id, names, u.ShadowCostLive, u.Policy(), u.CostLive(), u.OptimalCost())
+		ss.shadows(s.sessionShadow, id, names, u.ShadowCost, u.Policy(), u.Cost(), u.OptimalCost())
 		if a, ok := u.ShadowAlert(); ok {
 			ss.set(s.alertState, float64(a.State), id, a.Rule.Name)
 		}

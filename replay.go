@@ -20,7 +20,9 @@ import (
 //     bit-for-bit (math.Float64bits) against what the live system
 //     recorded. Floating-point re-execution of the identical operation
 //     sequence is deterministic, so any mismatch is real divergence —
-//     a version skew, a corrupted recording, or a bug.
+//     a version skew, a corrupted recording, or a bug. The one allowance
+//     is for dcrec version-1 recordings, priced by an older cost
+//     summation order: their costs match within 1e-9 relative.
 //   - hindsight: the exact offline DP runs over each (session, tenant,
 //     item) key's full request stream, concatenated across incarnations,
 //     yielding the true ratio-to-optimum — what a clairvoyant scheduler
@@ -56,7 +58,8 @@ type ReplayStream struct {
 	// bitwise-verified nor fed to the hindsight DP.
 	Partial bool `json:"partial,omitempty"`
 	// Bitwise reports full bit-for-bit agreement of the re-computed
-	// cumulative cost and prefix optimum with the recording.
+	// cumulative cost and prefix optimum with the recording (costs of a
+	// version-1 recording within 1e-9 relative).
 	Bitwise    bool   `json:"bitwise"`
 	Mismatches int    `json:"mismatches,omitempty"`
 	FirstDiff  string `json:"firstDiff,omitempty"`
@@ -258,7 +261,7 @@ func Replay(recs []*recorder.Recording, opts *ReplayOptions) (*ReplayReport, err
 					return nil, fmt.Errorf("replay: stream %d (%s) request %d: %w", r.Stream, st.rep.Session, st.rep.N, err)
 				}
 				st.rep.ReplayedCost = d.Cost
-				if math.Float64bits(d.Cost) != math.Float64bits(r.Cost) ||
+				if !costMatches(rc.Meta.Version, d.Cost, r.Cost) ||
 					math.Float64bits(d.Optimal) != math.Float64bits(r.Optimal) {
 					st.rep.Mismatches++
 					if st.rep.Bitwise {
@@ -358,6 +361,21 @@ func Replay(recs []*recorder.Recording, opts *ReplayOptions) (*ReplayReport, err
 		rep.ShadowPanel = replayShadowPanel(streams, order, window, rep.LiveCost, rep.HindsightOpt)
 	}
 	return rep, nil
+}
+
+// v1CostTolerance is the relative slack a version-1 recording's costs
+// get: they were priced by an older summation order, so they may differ
+// from today's engine in the last bits.
+const v1CostTolerance = 1e-9
+
+// costMatches compares a replayed cumulative cost with the recorded one:
+// bit for bit for recordings of the current format, within
+// v1CostTolerance relative for version-1 recordings.
+func costMatches(version uint16, replayed, recorded float64) bool {
+	if math.Float64bits(replayed) == math.Float64bits(recorded) {
+		return true
+	}
+	return version < 2 && math.Abs(replayed-recorded) <= v1CostTolerance*math.Max(math.Abs(replayed), math.Abs(recorded))
 }
 
 // replayShadowPanel aggregates the counterfactual standings across every

@@ -1,8 +1,11 @@
 package datacache
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"datacache/internal/recorder"
@@ -214,5 +217,82 @@ func TestReplayRotatedFilesContinueStreams(t *testing.T) {
 	}
 	if tail.Partial != 1 || len(tail.Streams) != 1 || !tail.Streams[0].Partial {
 		t.Fatalf("tail-only replay: %+v", tail.Streams)
+	}
+}
+
+// withVersion re-encodes rec with its last serve cost moved by one ulp
+// and the header stamped with version v: the shape of a recording whose
+// costs an older build priced in a different summation order.
+func withVersion(t *testing.T, rec *recorder.Recording, v uint16) *recorder.Recording {
+	t.Helper()
+	var buf bytes.Buffer
+	enc, err := recorder.NewEncoder(&buf, rec.Mode, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := -1
+	for i := range rec.Records {
+		if rec.Records[i].Kind == recorder.KindServe {
+			last = i
+		}
+	}
+	for i := range rec.Records {
+		r := rec.Records[i]
+		if i == last {
+			r.Cost = math.Nextafter(r.Cost, math.Inf(1))
+		}
+		if err := enc.Encode(&r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	if rec.Mode == recorder.ModeBinary {
+		raw[6], raw[7] = byte(v), byte(v>>8) // u16 version after the 6-byte magic
+	} else {
+		raw = []byte(strings.Replace(string(raw), `"version":2`, `"version":`+strconv.Itoa(int(v)), 1))
+	}
+	out, err := recorder.ReadAll(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Meta.Version != v {
+		t.Fatalf("re-encoded header carries version %d, want %d", out.Meta.Version, v)
+	}
+	return out
+}
+
+// TestReplayCostCheckByVersion pins the dcrec version rule: a last-bit
+// cost difference passes in a version-1 recording (priced by an older
+// summation order) and fails bitwise in a version-2 one.
+func TestReplayCostCheckByVersion(t *testing.T) {
+	for _, mode := range []string{recorder.ModeBinary, recorder.ModeNDJSON} {
+		t.Run(mode, func(t *testing.T) {
+			dir := t.TempDir()
+			recordFig6Session(t, dir, mode)
+			recs, err := recorder.ReadPath(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) != 1 || recs[0].Meta.Version != recorder.FormatVersion {
+				t.Fatalf("recorded %d files, version %d", len(recs), recs[0].Meta.Version)
+			}
+			v1, err := Replay([]*recorder.Recording{withVersion(t, recs[0], 1)}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !v1.BitwiseOK {
+				t.Errorf("v1 recording with a last-bit cost difference failed replay: %+v", v1.Streams)
+			}
+			v2, err := Replay([]*recorder.Recording{withVersion(t, recs[0], 2)}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v2.BitwiseOK || v2.Streams[0].Mismatches != 1 {
+				t.Errorf("v2 recording with a last-bit cost difference passed replay: %+v", v2.Streams)
+			}
+		})
 	}
 }

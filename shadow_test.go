@@ -96,10 +96,10 @@ func TestShadowSelfEquivalence(t *testing.T) {
 					if twinRow.Divergence != 0 {
 						t.Errorf("%s/batch=%v: twin divergence %d, want 0", wl.name, batch, twinRow.Divergence)
 					}
-					// CostLive prices the same ledger through the O(M)
-					// accumulator path; it must agree to fp accumulation order.
-					if got, want := sess.ShadowCostLive(0), sess.CostLive(); math.Abs(got-want) > 1e-9*(1+want) {
-						t.Errorf("%s/batch=%v: twin CostLive %v != live CostLive %v", wl.name, batch, got, want)
+					// The per-serve shadow feed prices the same ledger as the
+					// live policy; it must agree to fp accumulation order.
+					if got, want := sess.ShadowCost(0), sess.Cost(); math.Abs(got-want) > 1e-9*(1+want) {
+						t.Errorf("%s/batch=%v: twin cost %v != live cost %v", wl.name, batch, got, want)
 					}
 				}
 			}
