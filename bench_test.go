@@ -522,8 +522,8 @@ func BenchmarkEstimateBounds(b *testing.B) {
 	}
 }
 
-// Streaming appends: the amortized O(m) per-request update of the
-// incremental DP.
+// Streaming appends: the O(m) per-request update of the streaming DP,
+// allocation-free once every server is touched.
 func BenchmarkIncrementalAppend(b *testing.B) {
 	seq := benchSequence(16, 65536, 56)
 	b.ReportAllocs()

@@ -14,6 +14,7 @@ import (
 	"datacache/internal/model"
 	"datacache/internal/obs"
 	"datacache/internal/obs/tsdb"
+	"datacache/internal/offline"
 	"datacache/internal/recorder"
 )
 
@@ -41,9 +42,10 @@ type perfResult struct {
 // perfSweep times the serving hot paths: the single-item session loop
 // (plain, with the flight recorder attached, and with shadow policies),
 // the multi-item pool (unbounded, batch-grouped, and bounded with
-// eviction churn) and the offline DP. Each loop serves the same seeded
-// zipf traffic so numbers are comparable across runs, and each records
-// its allocation rate alongside wall time.
+// eviction churn), the streaming DP append and the batch offline DP.
+// Each loop serves the same seeded zipf traffic so numbers are
+// comparable across runs, and each records its allocation rate
+// alongside wall time.
 func perfSweep(seed int64, n int) (*perfSnapshot, error) {
 	const (
 		m        = 16
@@ -283,6 +285,21 @@ func perfSweep(seed int64, n int) (*perfSnapshot, error) {
 			}
 		}
 		return p.Close()
+	}); err != nil {
+		return nil, err
+	}
+
+	if err := timeLoop("offline/append", fmt.Sprintf("streaming DP append, m=%d, zipf servers", m), n, func() error {
+		inc, err := offline.NewIncremental(m, 1, model.Unit)
+		if err != nil {
+			return err
+		}
+		for _, r := range reqs {
+			if err := inc.Append(model.Request{Server: r.Server, Time: r.Time}); err != nil {
+				return err
+			}
+		}
+		return nil
 	}); err != nil {
 		return nil, err
 	}

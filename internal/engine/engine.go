@@ -25,6 +25,7 @@ package engine
 import (
 	"container/heap"
 	"fmt"
+	"math"
 
 	"datacache/internal/model"
 	"datacache/internal/obs"
@@ -147,13 +148,17 @@ func NewStream(d Decider, st State) (*Stream, error) {
 func (s *Stream) SetObserver(o obs.Observer) { s.obs = o }
 
 // Serve feeds the next request to the decider and executes its decisions.
-// Request times must be strictly increasing and positive.
+// Request times must be finite, positive and strictly increasing; a
+// request failing these checks changes nothing.
 func (s *Stream) Serve(server model.ServerID, t float64) (Decision, error) {
 	if s.finished {
 		return Decision{}, fmt.Errorf("engine: stream already finished")
 	}
 	if server < 1 || int(server) > s.st.M {
 		return Decision{}, fmt.Errorf("engine: server %d outside 1..%d", server, s.st.M)
+	}
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return Decision{}, fmt.Errorf("engine: request time %v not finite", t)
 	}
 	if t <= 0 || t <= s.last {
 		return Decision{}, fmt.Errorf("engine: request time %v not after %v", t, s.last)

@@ -31,7 +31,8 @@ func decodeInstance(data []byte) (*model.Sequence, model.CostModel) {
 	return seq, cm
 }
 
-// FuzzDPAgreement cross-checks all four solvers and the reconstruction on
+// FuzzDPAgreement cross-checks all four solvers, the streaming DP (bit for
+// bit against FastDP at every prefix) and the reconstruction on
 // arbitrary decoded instances. Run with `go test -fuzz=FuzzDPAgreement`;
 // in normal test runs it exercises the seed corpus.
 func FuzzDPAgreement(f *testing.F) {
@@ -61,6 +62,18 @@ func FuzzDPAgreement(f *testing.F) {
 		oracle, err := SubsetOptimal(seq, cm)
 		if err != nil {
 			t.Fatal(err)
+		}
+		inc, err := NewIncremental(seq.M, seq.Origin, cm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range seq.Requests { // the last prefix is fast.Cost()
+			if err := inc.Append(r); err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(inc.Cost()) != math.Float64bits(fast.C[i+1]) {
+				t.Fatalf("streamed C(%d)=%v != fast %v\nseq=%+v cm=%+v", i+1, inc.Cost(), fast.C[i+1], seq, cm)
+			}
 		}
 		tol := 1e-6 * (1 + math.Abs(oracle))
 		if math.Abs(fast.Cost()-naive.Cost()) > tol ||

@@ -36,81 +36,97 @@ func TestIncrementalMatchesBatchAtEveryPrefix(t *testing.T) {
 	}
 }
 
+// TestIncrementalVectorsMatchBatch streams the paper's Fig. 6 instance
+// and checks the streamed optimum against FastDP's C vector bit for bit at
+// every prefix, ending at the printed C(7) = 8.9.
 func TestIncrementalVectorsMatchBatch(t *testing.T) {
 	seq, cm := Fig6Instance()
 	inc, err := NewIncremental(seq.M, seq.Origin, cm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range seq.Requests {
-		if err := inc.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res := inc.Result()
 	batch, err := FastDP(seq, cm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range batch.C {
-		if !approxEq(res.C[i], batch.C[i]) {
-			t.Errorf("C(%d): %v != %v", i, res.C[i], batch.C[i])
+	for i, r := range seq.Requests {
+		if err := inc.Append(r); err != nil {
+			t.Fatal(err)
 		}
-		if math.IsInf(batch.D[i], 1) != math.IsInf(res.D[i], 1) ||
-			(!math.IsInf(batch.D[i], 1) && !approxEq(res.D[i], batch.D[i])) {
-			t.Errorf("D(%d): %v != %v", i, res.D[i], batch.D[i])
+		if got, want := inc.Cost(), batch.C[i+1]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("C(%d): streamed %v != batch %v", i+1, got, want)
 		}
 	}
-	if !approxEq(res.Cost(), 8.9) {
-		t.Errorf("Fig6 streaming cost = %v, want 8.9", res.Cost())
+	if !approxEq(inc.Cost(), 8.9) {
+		t.Errorf("Fig6 streaming cost = %v, want 8.9", inc.Cost())
 	}
 }
 
-func TestIncrementalResultReconstructs(t *testing.T) {
-	rng := rand.New(rand.NewSource(109))
-	for trial := 0; trial < 80; trial++ {
-		seq, cm := randomInstance(rng, 5, 20)
+// TestIncrementalBitwiseMatchesFastDP pins the streaming DP to FastDP's
+// C(i) under math.Float64bits at every prefix: both evaluate the same
+// candidate set with the same float expressions. FastDP's C[i] depends
+// only on the first i requests, so one batch run covers every prefix.
+func TestIncrementalBitwiseMatchesFastDP(t *testing.T) {
+	rng := rand.New(rand.NewSource(113))
+	for trial := 0; trial < 400; trial++ {
+		seq, cm := randomInstance(rng, 20, 300)
+		if trial%2 == 0 {
+			cm = model.Unit
+		}
+		batch, err := FastDP(seq, cm)
+		if err != nil {
+			t.Fatal(err)
+		}
 		inc, err := NewIncremental(seq.M, seq.Origin, cm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range seq.Requests {
+		for i, r := range seq.Requests {
 			if err := inc.Append(r); err != nil {
 				t.Fatal(err)
 			}
-		}
-		res := inc.Result()
-		sched, err := res.Schedule()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sched.Validate(res.Seq); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if got := sched.Cost(cm); !approxEq(got, inc.Cost()) {
-			t.Fatalf("trial %d: reconstructed %v != streaming %v", trial, got, inc.Cost())
+			if got, want := inc.Cost(), batch.C[i+1]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d (m=%d) prefix %d: streamed %v != FastDP %v", trial, seq.M, i+1, got, want)
+			}
 		}
 	}
 }
 
-func TestIncrementalResultIsolation(t *testing.T) {
-	inc, err := NewIncremental(3, 1, model.Unit)
+// TestIncrementalAppendAllocFree proves the retained state is flat in n:
+// once every server is touched, appending a long Zipf tail allocates
+// nothing at all.
+func TestIncrementalAppendAllocFree(t *testing.T) {
+	const m, tail = 16, 40000
+	inc, err := NewIncremental(m, 1, model.Unit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := inc.Append(model.Request{Server: 2, Time: 1}); err != nil {
-		t.Fatal(err)
+	now := 0.0
+	for s := 1; s <= m; s++ {
+		now++
+		if err := inc.Append(model.Request{Server: model.ServerID(s), Time: now}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	snap := inc.Result()
-	costAt1 := snap.Cost()
-	if err := inc.Append(model.Request{Server: 3, Time: 2}); err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(17))
+	zipf := rand.NewZipf(rng, 1.2, 1, m-1)
+	servers := make([]model.ServerID, tail)
+	for i := range servers {
+		servers[i] = model.ServerID(1 + zipf.Uint64())
 	}
-	if snap.Cost() != costAt1 || snap.Seq.N() != 1 {
-		t.Error("snapshot mutated by a later append")
+	allocs := testing.AllocsPerRun(2, func() {
+		for _, s := range servers {
+			now += 0.25
+			if err := inc.Append(model.Request{Server: s, Time: now}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per %d-request tail, want 0", allocs, tail)
 	}
-	if inc.Cost() <= costAt1 {
-		t.Errorf("appending a new-server request should raise cost: %v -> %v", costAt1, inc.Cost())
+	if want := m + 3*tail; inc.N() != want {
+		t.Errorf("N = %d, want %d", inc.N(), want)
 	}
 }
 
@@ -152,9 +168,5 @@ func TestIncrementalEmptyStream(t *testing.T) {
 	}
 	if inc.Cost() != 0 || inc.N() != 0 {
 		t.Errorf("fresh stream: cost %v, n %d", inc.Cost(), inc.N())
-	}
-	sched, err := inc.Result().Schedule()
-	if err != nil || len(sched.Caches) != 0 {
-		t.Errorf("empty schedule: %v (%v)", sched, err)
 	}
 }

@@ -1,6 +1,6 @@
 // Package planner closes the paper's online/offline loop inside the live
 // server: a rolling-horizon hybrid decider feeds the order-k Markov
-// trajectory predictor into the incremental offline dynamic program over
+// trajectory predictor into the exact offline dynamic program (FastDP) over
 // the predicted next-K requests, executes the DP's holding plan while the
 // predictions keep coming true, and falls back to the online Speculative
 // Caching rules the moment they stop.
@@ -86,6 +86,7 @@ type Hybrid struct {
 	pred    *trajectory.Predictor
 	recent  []model.ServerID // last Order visits, predictor context
 	scratch []model.ServerID // iterated-prediction context buffer
+	plan    model.Sequence   // predicted horizon, reused across replans
 
 	defaultWindow float64
 	now           float64 // current event time, read by windowOf
@@ -271,7 +272,7 @@ func (h *Hybrid) windowOf(server model.ServerID) float64 {
 // replan rebuilds the rolling-horizon plan after a request at (server, t):
 // iterate the Markov predictor Horizon steps ahead (feeding predictions
 // back as context), space the predicted requests by the EWMA arrival gap,
-// run the exact offline DP over that sequence from a copy at the
+// run the exact offline DP (FastDP) over that sequence from a copy at the
 // just-served server, and read each server's hold-until instant off the
 // optimal schedule's caching intervals.
 func (h *Hybrid) replan(server model.ServerID, t float64) {
@@ -279,12 +280,8 @@ func (h *Hybrid) replan(server model.ServerID, t float64) {
 	if !h.gateOpen() || h.gapEWMA <= 0 {
 		return
 	}
-	inc, err := offline.NewIncremental(h.st.M, server, h.st.Model)
-	if err != nil {
-		return
-	}
+	h.plan = model.Sequence{M: h.st.M, Origin: server, Requests: h.plan.Requests[:0]}
 	h.scratch = append(h.scratch[:0], h.recent...)
-	depth := 0
 	rel := 0.0
 	for i := 0; i < h.horizon(); i++ {
 		next := h.pred.Predict(h.scratch)
@@ -292,16 +289,21 @@ func (h *Hybrid) replan(server model.ServerID, t float64) {
 			break
 		}
 		rel += h.gapEWMA
-		if err := inc.Append(model.Request{Server: next, Time: rel}); err != nil {
-			break
+		if math.IsInf(rel, 1) {
+			break // times near the float64 limit: plan the finite prefix
 		}
+		h.plan.Requests = append(h.plan.Requests, model.Request{Server: next, Time: rel})
 		h.scratch = appendContext(h.scratch, next, h.order())
-		depth++
 	}
+	depth := h.plan.N()
 	if depth == 0 {
 		return
 	}
-	sched, err := inc.Result().Schedule()
+	res, err := offline.FastDP(&h.plan, h.st.Model)
+	if err != nil {
+		return
+	}
+	sched, err := res.Schedule()
 	if err != nil {
 		return
 	}

@@ -172,10 +172,14 @@ type Server struct {
 }
 
 // streamEntry wraps an incremental planning stream with its own lock, so
-// appends to different streams proceed in parallel.
+// appends to different streams proceed in parallel. The streaming DP keeps
+// only the live optimum; seq keeps the appended requests so the explicit
+// /schedule view can rebuild the optimal schedule with FastDP.
 type streamEntry struct {
 	mu  sync.Mutex
 	inc *offline.Incremental
+	seq model.Sequence
+	cm  model.CostModel
 }
 
 // Option customizes a Server.
@@ -967,13 +971,14 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	if req.Origin == 0 {
 		req.Origin = 1
 	}
-	inc, err := offline.NewIncremental(req.M, req.Origin, req.Model.toModel())
+	cm := req.Model.toModel()
+	inc, err := offline.NewIncremental(req.M, req.Origin, cm)
 	if err != nil {
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	id := fmt.Sprintf("st-%d", s.nextID.Add(1))
-	s.streams.put(id, &streamEntry{inc: inc})
+	s.streams.put(id, &streamEntry{inc: inc, seq: model.Sequence{M: req.M, Origin: req.Origin}, cm: cm})
 	s.streamsOpen.Add(1)
 	w.Header().Set("Location", "/v1/stream/"+id)
 	writeJSON(w, http.StatusCreated, StreamState{ID: id, N: 0, Cost: 0})
@@ -991,7 +996,11 @@ func (s *Server) handleStreamOp(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		entry.mu.Lock()
-		err := entry.inc.Append(model.Request{Server: req.Server, Time: req.Time})
+		rq := model.Request{Server: req.Server, Time: req.Time}
+		err := entry.inc.Append(rq)
+		if err == nil {
+			entry.seq.Requests = append(entry.seq.Requests, rq)
+		}
 		state := StreamState{ID: id, N: entry.inc.N(), Cost: entry.inc.Cost()}
 		entry.mu.Unlock()
 		if err != nil {
@@ -1006,9 +1015,12 @@ func (s *Server) handleStreamOp(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, state)
 	case op == "schedule" && r.Method == http.MethodGet:
 		entry.mu.Lock()
-		res := entry.inc.Result()
+		var sched *model.Schedule
+		res, err := offline.FastDP(&entry.seq, entry.cm)
+		if err == nil {
+			sched, err = res.Schedule()
+		}
 		entry.mu.Unlock()
-		sched, err := res.Schedule()
 		if err != nil {
 			s.httpError(w, r, http.StatusInternalServerError, err)
 			return

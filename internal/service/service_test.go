@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -363,6 +364,55 @@ func TestStreamLifecycle(t *testing.T) {
 	resp5.Body.Close()
 	if resp5.StatusCode != http.StatusNotFound {
 		t.Errorf("deleted stream: status %d", resp5.StatusCode)
+	}
+}
+
+// TestStreamScheduleReconstructs drives random streams through
+// /v1/stream: the /schedule reply must be feasible for exactly the
+// requests sent and price to the streamed optimum within 1e-9 relative.
+// A stream with no appends replies with an empty schedule.
+func TestStreamScheduleReconstructs(t *testing.T) {
+	ts := newTestServer(t)
+	rng := rand.New(rand.NewSource(109))
+	for trial := 0; trial < 40; trial++ {
+		m := 1 + rng.Intn(5)
+		seq := &model.Sequence{M: m, Origin: model.ServerID(1 + rng.Intn(m))}
+		cm := model.CostModel{Mu: 0.1 + rng.Float64()*3, Lambda: 0.1 + rng.Float64()*3}
+		var st StreamState
+		post(t, ts.URL+"/v1/stream", map[string]interface{}{
+			"m": m, "origin": seq.Origin, "model": map[string]float64{"mu": cm.Mu, "lambda": cm.Lambda},
+		}, &st)
+		now := 0.0
+		for i, n := 0, rng.Intn(21); i < n; i++ {
+			now += 0.01 + rng.Float64()*2
+			r := model.Request{Server: model.ServerID(1 + rng.Intn(m)), Time: now}
+			seq.Requests = append(seq.Requests, r)
+			if resp := post(t, ts.URL+"/v1/stream/"+st.ID+"/append",
+				StreamAppendRequest{Server: r.Server, Time: r.Time}, &st); resp.StatusCode != http.StatusOK {
+				t.Fatalf("trial %d append %d: status %d", trial, i, resp.StatusCode)
+			}
+		}
+		var sched model.Schedule
+		getJSON(t, ts.URL+"/v1/stream/"+st.ID+"/schedule", &sched)
+		if err := sched.Validate(seq); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if got := sched.Cost(cm); math.Abs(got-st.Cost) > 1e-9*math.Max(1, math.Abs(st.Cost)) {
+			t.Fatalf("trial %d: schedule prices to %v, streamed optimum %v", trial, got, st.Cost)
+		}
+	}
+
+	var st StreamState
+	post(t, ts.URL+"/v1/stream", map[string]interface{}{
+		"m": 2, "origin": 2, "model": map[string]float64{"mu": 1, "lambda": 1},
+	}, &st)
+	if st.Cost != 0 || st.N != 0 {
+		t.Errorf("fresh stream: %+v", st)
+	}
+	var sched model.Schedule
+	getJSON(t, ts.URL+"/v1/stream/"+st.ID+"/schedule", &sched)
+	if len(sched.Caches) != 0 || len(sched.Transfers) != 0 {
+		t.Errorf("empty stream schedule: %+v", sched)
 	}
 }
 

@@ -169,6 +169,83 @@ func TestSessionErrors(t *testing.T) {
 	}
 }
 
+// TestNonFiniteTimeRejected pins that a NaN or +Inf request time is
+// rejected before anything changes: a session with a shadow panel and a
+// pool item keep their N, cost, optimum and shadow costs finite and
+// unchanged, and the next valid request serves normally.
+func TestNonFiniteTimeRejected(t *testing.T) {
+	shadows, err := datacache.WithShadowPolicies("migrate", "replicate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := datacache.NewSession(3, 1, datacache.Unit, &datacache.SessionOptions{ShadowPolicies: shadows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := datacache.NewPool(3, 1, datacache.Unit, &datacache.PoolOptions{
+		Session: datacache.SessionOptions{ShadowPolicies: shadows},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type snapshot struct {
+		n         int
+		cost, opt float64
+		sh0, sh1  float64
+	}
+	sessSnap := func() snapshot {
+		return snapshot{sess.N(), sess.Cost(), sess.OptimalCost(), sess.ShadowCost(0), sess.ShadowCost(1)}
+	}
+	poolSnap := func() snapshot {
+		sc := pool.ShadowCosts()
+		return snapshot{pool.N(), pool.Cost(), pool.Optimal(), sc[0], sc[1]}
+	}
+	finite := func(s snapshot) bool {
+		for _, v := range []float64{s.cost, s.opt, s.sh0, s.sh1} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return false
+			}
+		}
+		return true
+	}
+	if _, err := sess.Serve(2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pool.Serve("t", "a", 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		before := sessSnap()
+		if _, err := sess.Serve(3, bad); err == nil {
+			t.Errorf("session accepted time %v", bad)
+		}
+		if after := sessSnap(); after != before || !finite(after) {
+			t.Errorf("session changed by time %v: %+v -> %+v", bad, before, after)
+		}
+		before = poolSnap()
+		if _, err := pool.Serve("t", "a", 3, bad); err == nil {
+			t.Errorf("pool accepted time %v", bad)
+		}
+		if after := poolSnap(); after != before || !finite(after) {
+			t.Errorf("pool changed by time %v: %+v -> %+v", bad, before, after)
+		}
+	}
+	d, err := sess.Serve(3, 2)
+	if err != nil {
+		t.Fatalf("session wedged after non-finite times: %v", err)
+	}
+	if sess.N() != 2 || d.Optimal != sess.OptimalCost() || !finite(sessSnap()) {
+		t.Errorf("session after recovery: n=%d decision %+v", sess.N(), d)
+	}
+	pd, err := pool.Serve("t", "a", 3, 2)
+	if err != nil {
+		t.Fatalf("pool wedged after non-finite times: %v", err)
+	}
+	if pool.N() != 2 || pd.Cost != d.Cost || pd.Optimal != d.Optimal || !finite(poolSnap()) {
+		t.Errorf("pool after recovery: n=%d decision %+v, want cost %v opt %v", pool.N(), pd, d.Cost, d.Optimal)
+	}
+}
+
 // TestSessionCostBreakdownFig6 checks the per-server cost attribution on
 // the paper's Fig. 6 instance: after every served request and again after
 // Close, the breakdown's caching and transfer shares must sum to exactly
