@@ -87,6 +87,24 @@ func TestCLIPipeline(t *testing.T) {
 			t.Errorf("dcsim -compare missing %q:\n%s", want, cmpOut)
 		}
 	}
+
+	// -policy takes the same spec grammar as POST /v1/session, and -trace
+	// serves every policy the grammar names.
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-policy", "ttl:window=0.5"}, []string{"policy: TTL(0.5)"}},
+		{[]string{"-policy", "hybrid"}, []string{"policy: Hybrid(horizon=8,order=2)"}},
+		{[]string{"-trace", "-policy", "adaptive"}, []string{"policy: AdaptiveTTL", "decision trace (", "transfer"}},
+	} {
+		out, _ := run(t, bins["dcsim"], nil, append([]string{"-in", traceFile, "-lambda", "2"}, tc.args...)...)
+		for _, want := range tc.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("dcsim %v missing %q:\n%s", tc.args, want, out)
+			}
+		}
+	}
 }
 
 // TestCLIStdinRoundTrip checks the pipe form: dcgen | dcopt.

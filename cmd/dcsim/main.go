@@ -4,7 +4,8 @@
 // Usage:
 //
 //	dcgen -workload zipf -n 5000 | dcsim -policy sc
-//	dcsim -in trace.csv -policy ttl -window 0.5
+//	dcsim -in trace.csv -policy ttl:window=0.5
+//	dcsim -in trace.csv -policy hybrid:horizon=8,order=2
 //	dcsim -in trace.csv -compare            # every policy side by side
 //	dcsim -in trace.csv -trace              # dump the decision event stream
 package main
@@ -16,7 +17,7 @@ import (
 	"os"
 	"strings"
 
-	"datacache/internal/engine"
+	"datacache"
 	"datacache/internal/model"
 	"datacache/internal/obs"
 	"datacache/internal/offline"
@@ -32,9 +33,9 @@ func main() {
 		format  = flag.String("format", "csv", "input format: csv|json")
 		mu      = flag.Float64("mu", 1, "caching cost per unit time (μ)")
 		lambda  = flag.Float64("lambda", 1, "transfer cost (λ)")
-		policy  = flag.String("policy", "sc", "policy: sc|ttl|adaptive|migrate|keep")
-		window  = flag.Float64("window", 0, "TTL window override (ttl policy; 0 = λ/μ)")
-		epoch   = flag.Int("epoch", 0, "SC epoch size in transfers (0 = unbounded)")
+		policy  = flag.String("policy", "sc", "policy spec, as POST /v1/session takes it: "+strings.Join(datacache.PolicyKinds(), "|")+", with parameters like ttl:window=0.5 or hybrid:horizon=8,order=2")
+		window  = flag.Float64("window", 0, "retention window for sc, ttl and hybrid when the spec carries none (0 = λ/μ)")
+		epoch   = flag.Int("epoch", 0, "SC epoch size in transfers when the spec carries none (0 = unbounded)")
 		compare = flag.Bool("compare", false, "run every policy and print a comparison table")
 		metrics = flag.Bool("metrics", false, "print the per-server breakdown of the policy's schedule")
 		dump    = flag.Bool("trace", false, "dump the decision event stream (requests, hits, transfers, drops, timer fires, epoch resets)")
@@ -79,10 +80,11 @@ func main() {
 		return
 	}
 
-	p, err := pick(*policy, *window, *epoch)
+	sp, err := datacache.ResolvePolicy(*policy, *window, *epoch)
 	if err != nil {
 		fatal(err)
 	}
+	p := sp.Runner()
 	res, err := online.Run(p, seq, cm)
 	if err != nil {
 		fatal(err)
@@ -99,69 +101,33 @@ func main() {
 		fmt.Print(table.String())
 	}
 	if *dump {
-		if err := dumpTrace(seq, cm, *policy, *window, *epoch); err != nil {
+		if err := dumpTrace(seq, cm, sp); err != nil {
 			fatal(err)
 		}
 	}
 }
 
-// dumpTrace replays the sequence through the engine decider behind the
-// chosen policy with an observer attached, and prints the event stream —
-// the exact schema /v1/session/{id}/trace serves for live traffic and the
-// simulator's RunTraced records.
-func dumpTrace(seq *model.Sequence, cm model.CostModel, policy string, window float64, epoch int) error {
-	var d engine.Decider
-	switch strings.ToLower(policy) {
-	case "sc":
-		d = &engine.SC{EpochTransfers: epoch}
-	case "ttl":
-		d = &engine.SC{Window: window}
-	case "migrate":
-		d = &engine.Migrate{}
-	case "keep":
-		d = &engine.Replicate{}
-	default:
-		return fmt.Errorf("-trace supports sc|ttl|migrate|keep, not %q", policy)
-	}
+// dumpTrace serves the sequence through a Session running the resolved
+// policy with an unbounded event ring attached, and prints the event
+// stream — the exact schema /v1/session/{id}/trace serves for live
+// traffic and the simulator's RunTraced records.
+func dumpTrace(seq *model.Sequence, cm model.CostModel, sp datacache.PolicySpec) error {
 	ring := &obs.Ring{} // unbounded: offline dumps want the full stream
-	if sc, ok := d.(*engine.SC); ok {
-		sc.OnReset = func(t float64, keep model.ServerID) {
-			ring.Observe(obs.Event{At: t, Kind: obs.KindEpochReset, Server: int(keep)})
-		}
-	}
-	st, err := engine.NewStream(d, engine.State{M: seq.M, Origin: seq.Origin, Model: cm})
+	sess, err := datacache.NewSession(seq.M, seq.Origin, cm, &datacache.SessionOptions{Policy: sp.Spec(), Observer: ring})
 	if err != nil {
 		return err
 	}
-	st.SetObserver(ring)
 	for _, r := range seq.Requests {
-		if _, err := st.Serve(r.Server, r.Time); err != nil {
+		if _, err := sess.Serve(r.Server, r.Time); err != nil {
 			return err
 		}
 	}
-	if _, err := st.Finish(seq.End()); err != nil {
+	if _, err := sess.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("decision trace (%d events):\n", ring.Len())
 	fmt.Print(ring.String())
 	return nil
-}
-
-func pick(name string, window float64, epoch int) (online.Runner, error) {
-	switch strings.ToLower(name) {
-	case "sc":
-		return online.SpeculativeCaching{EpochTransfers: epoch}, nil
-	case "ttl":
-		return online.SpeculativeCaching{Window: window}, nil
-	case "adaptive":
-		return online.AdaptiveTTL{}, nil
-	case "migrate":
-		return online.AlwaysMigrate{}, nil
-	case "keep":
-		return online.KeepEverywhere{}, nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
-	}
 }
 
 func readTrace(path, format string) (*model.Sequence, error) {

@@ -149,7 +149,9 @@ func (s *Schedule) HeldAt(server ServerID, t float64) bool {
 //  4. Transfer provenance — every transfer's source holds a live copy at the
 //     transfer time.
 //
-// Validate does not require minimality or optimality.
+// Validate does not require minimality or optimality. Every lookup is a
+// binary search, O((n+H+T) log(H+T)) for n requests, H intervals and T
+// transfers, answering exactly as HeldAt's scan would.
 func (s *Schedule) Validate(seq *Sequence) error {
 	if err := seq.Validate(); err != nil {
 		return err
@@ -159,30 +161,22 @@ func (s *Schedule) Validate(seq *Sequence) error {
 		Transfers: append([]Transfer(nil), s.Transfers...),
 	}
 	norm.Normalize()
+	held := newHoldIndex(norm.Caches)
+	into := newTransferIndex(norm.Transfers)
 
 	// 4 (checked first so rule 1 may rely on it): transfer sources live.
 	for _, tr := range norm.Transfers {
 		if tr.From == tr.To {
 			return fmt.Errorf("model: transfer at t=%v from server %d to itself", tr.Time, tr.From)
 		}
-		if !norm.HeldAt(tr.From, tr.Time) {
+		if !held.at(tr.From, tr.Time) {
 			return fmt.Errorf("model: transfer at t=%v sourced from server %d which holds no copy then", tr.Time, tr.From)
 		}
 	}
 
 	// 1: every request served.
 	for i, r := range seq.Requests {
-		if norm.HeldAt(r.Server, r.Time) {
-			continue
-		}
-		served := false
-		for _, tr := range norm.Transfers {
-			if tr.To == r.Server && math.Abs(tr.Time-r.Time) <= timeEps {
-				served = true
-				break
-			}
-		}
-		if !served {
+		if !held.at(r.Server, r.Time) && !into.at(r.Server, r.Time) {
 			return fmt.Errorf("model: request %d at (s%d, t=%v) is not served by cache or transfer", i+1, r.Server, r.Time)
 		}
 	}
@@ -195,14 +189,7 @@ func (s *Schedule) Validate(seq *Sequence) error {
 			}
 			continue
 		}
-		ok := false
-		for _, tr := range norm.Transfers {
-			if tr.To == h.Server && math.Abs(tr.Time-h.From) <= timeEps {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if !into.at(h.Server, h.From) {
 			// A held copy may also originate at a request served at this
 			// exact point by an incoming transfer already checked above, or
 			// by an interval that was merged; after Normalize those cases
@@ -216,6 +203,65 @@ func (s *Schedule) Validate(seq *Sequence) error {
 		return err
 	}
 	return nil
+}
+
+// holdIndex answers HeldAt in O(log H): the intervals sorted by (server,
+// from), each To raised to its server's running maximum. The intervals
+// with From-timeEps <= t are a prefix of the server's run, and one of
+// them reaches t exactly when the prefix's last raised To does.
+// Intervals with a NaN bound never hold, so they are left out.
+type holdIndex []CacheInterval
+
+func newHoldIndex(caches []CacheInterval) holdIndex {
+	x := make(holdIndex, 0, len(caches))
+	for _, h := range caches {
+		if !math.IsNaN(h.From) && !math.IsNaN(h.To) {
+			x = append(x, h)
+		}
+	}
+	sort.Slice(x, func(a, b int) bool {
+		return x[a].Server < x[b].Server || x[a].Server == x[b].Server && x[a].From < x[b].From
+	})
+	for i := 1; i < len(x); i++ {
+		if x[i-1].Server == x[i].Server && x[i-1].To > x[i].To {
+			x[i].To = x[i-1].To
+		}
+	}
+	return x
+}
+
+// at reports what HeldAt(server, t) reports on the indexed intervals.
+func (x holdIndex) at(server ServerID, t float64) bool {
+	k := sort.Search(len(x), func(i int) bool {
+		return x[i].Server > server || x[i].Server == server && x[i].From-timeEps > t
+	})
+	return k > 0 && x[k-1].Server == server && t <= x[k-1].To+timeEps
+}
+
+// transferIndex finds a transfer into a server within timeEps of an
+// instant in O(log T): the transfers sorted by (target, time), leaving
+// out those at a NaN time, which never match.
+type transferIndex []Transfer
+
+func newTransferIndex(trs []Transfer) transferIndex {
+	x := make(transferIndex, 0, len(trs))
+	for _, tr := range trs {
+		if !math.IsNaN(tr.Time) {
+			x = append(x, tr)
+		}
+	}
+	sort.Slice(x, func(a, b int) bool {
+		return x[a].To < x[b].To || x[a].To == x[b].To && x[a].Time < x[b].Time
+	})
+	return x
+}
+
+// at reports whether some transfer into server has |Time - t| <= timeEps.
+func (x transferIndex) at(server ServerID, t float64) bool {
+	k := sort.Search(len(x), func(i int) bool {
+		return x[i].To > server || x[i].To == server && x[i].Time-t >= -timeEps
+	})
+	return k < len(x) && x[k].To == server && math.Abs(x[k].Time-t) <= timeEps
 }
 
 // coverage checks that the union of intervals covers [0, end].

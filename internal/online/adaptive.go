@@ -24,88 +24,75 @@ import (
 // refreshes both endpoints), so it always produces feasible schedules; it
 // does not inherit SC's worst-case proof, which is exactly the trade-off
 // experiment E11 quantifies.
+//
+// *AdaptiveTTL is an engine.Decider: it wraps engine.SC through the
+// WindowOf hook, as planner.Hybrid does, and learns the gaps in
+// OnRequest. A Session serves it live as the "adaptive" policy spec.
 type AdaptiveTTL struct {
 	// MaxSamples caps the per-server gap history (default 64).
 	MaxSamples int
 	// MinSamples gates learning (default 4).
 	MinSamples int
+
+	sc       engine.SC
+	cm       model.CostModel
+	lastSeen []float64   // last arrival per server, -1 before the first
+	gaps     [][]float64 // recent revisit gaps per server
+	window   []float64   // learned retention window per server
 }
 
-// Name implements Runner.
+// Name implements Runner and engine.Decider.
 func (AdaptiveTTL) Name() string { return "AdaptiveTTL" }
 
-// Run implements Runner.
+// Run implements Runner by replaying the sequence through a fresh
+// AdaptiveTTL decider.
 func (p AdaptiveTTL) Run(seq *model.Sequence, cm model.CostModel) (*model.Schedule, error) {
-	if err := seq.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cm.Validate(); err != nil {
-		return nil, err
-	}
-	maxSamples := p.MaxSamples
-	if maxSamples <= 0 {
-		maxSamples = 64
-	}
-	minSamples := p.MinSamples
-	if minSamples <= 0 {
-		minSamples = 4
-	}
-	learner := &gapLearner{
-		cm:         cm,
-		maxSamples: maxSamples,
-		minSamples: minSamples,
-		lastSeen:   make([]float64, seq.M+1),
-		gaps:       make([][]float64, seq.M+1),
-		window:     make([]float64, seq.M+1),
-	}
-	for j := range learner.lastSeen {
-		learner.lastSeen[j] = -1
-		learner.window[j] = cm.Delta()
-	}
-	d := &engine.SC{WindowOf: func(j model.ServerID) float64 { return learner.windowOf(int(j)) }}
-	st, err := engine.NewStream(d, engine.State{M: seq.M, Origin: seq.Origin, Model: cm})
-	if err != nil {
-		return nil, err
-	}
-	for i := range seq.Requests {
-		r := seq.Requests[i]
-		// Observe the gap before serving so the refreshed window already
-		// reflects it (strictly online: only past arrivals are used).
-		learner.observe(int(r.Server), r.Time)
-		if _, err := st.Serve(r.Server, r.Time); err != nil {
-			return nil, err
-		}
-	}
-	return st.Finish(seq.End())
+	return Replay(&AdaptiveTTL{MaxSamples: p.MaxSamples, MinSamples: p.MinSamples}, seq, cm)
 }
 
-// gapLearner tracks per-server revisit gaps and their cost-optimal windows.
-type gapLearner struct {
-	cm         model.CostModel
-	maxSamples int
-	minSamples int
-	lastSeen   []float64
-	gaps       [][]float64
-	window     []float64
+// Init implements engine.Decider: every server starts at the SC window,
+// and the wrapped SC reads the learned windows through WindowOf.
+func (p *AdaptiveTTL) Init(st engine.State) []engine.Action {
+	p.cm = st.Model
+	p.lastSeen = make([]float64, st.M+1)
+	p.gaps = make([][]float64, st.M+1)
+	p.window = make([]float64, st.M+1)
+	for j := range p.lastSeen {
+		p.lastSeen[j] = -1
+		p.window[j] = st.Model.Delta()
+	}
+	p.sc = engine.SC{WindowOf: func(j model.ServerID) float64 { return p.window[j] }}
+	return p.sc.Init(st)
 }
 
-func (g *gapLearner) windowOf(server int) float64 { return g.window[server] }
-
-// observe records the arrival and re-optimizes the server's window.
-func (g *gapLearner) observe(server int, t float64) {
-	if last := g.lastSeen[server]; last >= 0 {
-		gap := t - last
-		if len(g.gaps[server]) >= g.maxSamples {
-			// Sliding window: drop the oldest sample.
-			copy(g.gaps[server], g.gaps[server][1:])
-			g.gaps[server] = g.gaps[server][:g.maxSamples-1]
+// OnRequest implements engine.Decider. It records the revisit gap and
+// re-optimizes the server's window before SC serves, so the refreshed
+// window already reflects it (strictly online: only past arrivals are
+// used).
+func (p *AdaptiveTTL) OnRequest(server model.ServerID, t float64) ([]engine.Action, error) {
+	if last := p.lastSeen[server]; last >= 0 {
+		g := p.gaps[server]
+		if len(g) >= orDefault(p.MaxSamples, 64) {
+			g = g[:copy(g, g[1:])] // sliding window: drop the oldest sample
 		}
-		g.gaps[server] = append(g.gaps[server], gap)
-		if len(g.gaps[server]) >= g.minSamples {
-			g.window[server] = bestWindow(g.gaps[server], g.cm)
+		g = append(g, t-last)
+		p.gaps[server] = g
+		if len(g) >= orDefault(p.MinSamples, 4) {
+			p.window[server] = bestWindow(g, p.cm)
 		}
 	}
-	g.lastSeen[server] = t
+	p.lastSeen[server] = t
+	return p.sc.OnRequest(server, t)
+}
+
+// OnTimer implements engine.Decider by delegating to the wrapped SC.
+func (p *AdaptiveTTL) OnTimer(t float64) []engine.Action { return p.sc.OnTimer(t) }
+
+func orDefault(v, def int) int {
+	if v > 0 {
+		return v
+	}
+	return def
 }
 
 // bestWindow minimizes the empirical ski-rental cost over the candidate

@@ -21,10 +21,7 @@ func (AlwaysMigrate) Name() string { return "AlwaysMigrate" }
 // Run implements Runner by replaying the sequence through the engine's
 // Migrate decider.
 func (AlwaysMigrate) Run(seq *model.Sequence, cm model.CostModel) (*model.Schedule, error) {
-	if err := seq.Validate(); err != nil {
-		return nil, err
-	}
-	return engine.Replay(&engine.Migrate{}, seq, cm)
+	return Replay(&engine.Migrate{}, seq, cm)
 }
 
 // KeepEverywhere replicates greedily and never deletes: the first miss on a
@@ -39,10 +36,7 @@ func (KeepEverywhere) Name() string { return "KeepEverywhere" }
 // Run implements Runner by replaying the sequence through the engine's
 // Replicate decider.
 func (KeepEverywhere) Run(seq *model.Sequence, cm model.CostModel) (*model.Schedule, error) {
-	if err := seq.Validate(); err != nil {
-		return nil, err
-	}
-	return engine.Replay(&engine.Replicate{}, seq, cm)
+	return Replay(&engine.Replicate{}, seq, cm)
 }
 
 // Oracle is the off-line optimum exposed through the Runner interface, so

@@ -28,12 +28,6 @@ type EpochStat struct {
 // mid-epoch). Used by tests to confirm the per-epoch form of Theorem 3 and
 // by reports to show where an adversarial run concentrates its losses.
 func AnalyzeEpochs(seq *model.Sequence, cm model.CostModel, epochTransfers int) ([]EpochStat, error) {
-	if err := seq.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cm.Validate(); err != nil {
-		return nil, err
-	}
 	if epochTransfers < 1 {
 		epochTransfers = seq.N() + 1 // single epoch
 	}
@@ -48,7 +42,7 @@ func AnalyzeEpochs(seq *model.Sequence, cm model.CostModel, epochTransfers int) 
 			resets = append(resets, boundary{at: t, keep: keep})
 		},
 	}
-	sched, err := engine.Replay(d, seq, cm)
+	sched, err := Replay(d, seq, cm)
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ package online
 import (
 	"fmt"
 
+	"datacache/internal/engine"
 	"datacache/internal/model"
 )
 
@@ -43,6 +44,18 @@ type Result struct {
 	Stats    Stats
 }
 
+// Replay validates the instance and replays it through d — the body of
+// every engine-backed Runner.
+func Replay(d engine.Decider, seq *model.Sequence, cm model.CostModel) (*model.Schedule, error) {
+	if err := seq.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cm.Validate(); err != nil {
+		return nil, err
+	}
+	return engine.Replay(d, seq, cm)
+}
+
 // Run executes a policy and prices its schedule, validating feasibility.
 func Run(p Runner, seq *model.Sequence, cm model.CostModel) (*Result, error) {
 	sched, err := p.Run(seq, cm)
@@ -67,15 +80,16 @@ func Run(p Runner, seq *model.Sequence, cm model.CostModel) (*Result, error) {
 }
 
 // countServedByTransfer counts requests coinciding with a transfer into
-// their server.
+// their server, in O(n+T) through a set of transfer (target, time) keys.
 func countServedByTransfer(seq *model.Sequence, s *model.Schedule) int {
+	into := make(map[model.Transfer]bool, len(s.Transfers)) // keyed with From zeroed
+	for _, tr := range s.Transfers {
+		into[model.Transfer{To: tr.To, Time: tr.Time}] = true
+	}
 	n := 0
 	for _, r := range seq.Requests {
-		for _, tr := range s.Transfers {
-			if tr.To == r.Server && tr.Time == r.Time {
-				n++
-				break
-			}
+		if into[model.Transfer{To: r.Server, Time: r.Time}] {
+			n++
 		}
 	}
 	return n

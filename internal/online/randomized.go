@@ -32,17 +32,11 @@ func (p RandomizedSC) Name() string { return fmt.Sprintf("RandomizedSC(seed=%d)"
 
 // Run implements Runner.
 func (p RandomizedSC) Run(seq *model.Sequence, cm model.CostModel) (*model.Schedule, error) {
-	if err := seq.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cm.Validate(); err != nil {
-		return nil, err
-	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	delta := cm.Delta()
 	draw := func(model.ServerID) float64 {
 		u := rng.Float64()
 		return delta * math.Log(1+u*(math.E-1))
 	}
-	return engine.Replay(&engine.SC{WindowOf: draw}, seq, cm)
+	return Replay(&engine.SC{WindowOf: draw}, seq, cm)
 }

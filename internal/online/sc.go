@@ -1,8 +1,6 @@
 package online
 
 import (
-	"fmt"
-
 	"datacache/internal/engine"
 	"datacache/internal/model"
 )
@@ -42,32 +40,16 @@ type SpeculativeCaching struct {
 	MaxCopies int
 }
 
-// Name implements Runner.
-func (p SpeculativeCaching) Name() string {
-	switch {
-	case p.MaxCopies > 0:
-		return fmt.Sprintf("SC(cap=%d)", p.MaxCopies)
-	case p.Window > 0:
-		return fmt.Sprintf("TTL(%g)", p.Window)
-	case p.EpochTransfers > 0:
-		return fmt.Sprintf("SC(epoch=%d)", p.EpochTransfers)
-	default:
-		return "SC"
-	}
+func (p SpeculativeCaching) decider() *engine.SC {
+	return &engine.SC{Window: p.Window, EpochTransfers: p.EpochTransfers, MaxCopies: p.MaxCopies}
 }
+
+// Name implements Runner: SC, TTL(τ), SC(epoch=N) or SC(cap=K), as the
+// engine decider names itself.
+func (p SpeculativeCaching) Name() string { return p.decider().Name() }
 
 // Run implements Runner by replaying the sequence through the shared
 // decision engine.
 func (p SpeculativeCaching) Run(seq *model.Sequence, cm model.CostModel) (*model.Schedule, error) {
-	if err := seq.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cm.Validate(); err != nil {
-		return nil, err
-	}
-	return engine.Replay(&engine.SC{
-		Window:         p.Window,
-		EpochTransfers: p.EpochTransfers,
-		MaxCopies:      p.MaxCopies,
-	}, seq, cm)
+	return Replay(p.decider(), seq, cm)
 }

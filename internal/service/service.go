@@ -642,9 +642,11 @@ type OptimizeResponse struct {
 type SimulateRequest struct {
 	Sequence *model.Sequence `json:"sequence"`
 	Model    CostModelDTO    `json:"model"`
-	Policy   string          `json:"policy"` // sc | ttl | adaptive | migrate | keep
-	Window   float64         `json:"window,omitempty"`
-	Epoch    int             `json:"epoch,omitempty"`
+	// Policy is a policy spec ("sc", "ttl:window=0.5", "adaptive", ...)
+	// resolved as POST /v1/session resolves it, Window and Epoch included.
+	Policy string  `json:"policy"`
+	Window float64 `json:"window,omitempty"`
+	Epoch  int     `json:"epoch,omitempty"`
 }
 
 // SimulateResponse is the /v1/simulate reply.
@@ -813,11 +815,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, http.StatusBadRequest, fmt.Errorf("missing sequence"))
 		return
 	}
-	p, err := pickPolicy(req.Policy, req.Window, req.Epoch)
+	sp, err := datacache.ResolvePolicy(req.Policy, req.Window, req.Epoch)
 	if err != nil {
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return
 	}
+	p := sp.Runner()
 	cm := req.Model.toModel()
 	run, err := online.Run(p, req.Sequence, cm)
 	if err != nil {
@@ -842,23 +845,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		resp.Ratio = 1
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func pickPolicy(name string, window float64, epoch int) (online.Runner, error) {
-	switch strings.ToLower(name) {
-	case "", "sc":
-		return online.SpeculativeCaching{EpochTransfers: epoch}, nil
-	case "ttl":
-		return online.SpeculativeCaching{Window: window}, nil
-	case "adaptive":
-		return online.AdaptiveTTL{}, nil
-	case "migrate":
-		return online.AlwaysMigrate{}, nil
-	case "keep":
-		return online.KeepEverywhere{}, nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
-	}
 }
 
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
@@ -899,7 +885,9 @@ type PlanRequest struct {
 	M      int           `json:"m"`
 	Model  CostModelDTO  `json:"model"`
 	Events []multi.Event `json:"events"`
-	Online string        `json:"online,omitempty"` // also serve per item with this policy
+	// Online, when set, also serves every item with this policy spec,
+	// resolved as POST /v1/session resolves it ("ttl:window=0.5", ...).
+	Online string `json:"online,omitempty"`
 }
 
 // PlanItem is one item's line of the /v1/plan reply.
@@ -933,12 +921,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		resp.Items = append(resp.Items, PlanItem{Item: rep.Item, Requests: rep.Requests, Planned: rep.Cost})
 	}
 	if req.Online != "" {
-		p, err := pickPolicy(req.Online, 0, 0)
+		sp, err := datacache.ResolvePolicy(req.Online, 0, 0)
 		if err != nil {
 			s.httpError(w, r, http.StatusBadRequest, err)
 			return
 		}
-		serveReps, serveTotal, err := multi.Serve(cat, req.Events, func() online.Runner { return p })
+		serveReps, serveTotal, err := multi.Serve(cat, req.Events, sp.Runner)
 		if err != nil {
 			s.httpError(w, r, http.StatusBadRequest, err)
 			return
@@ -952,7 +940,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, []string{"sc", "ttl", "adaptive", "migrate", "keep"})
+	writeJSON(w, http.StatusOK, datacache.PolicyKinds())
 }
 
 func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {

@@ -292,8 +292,76 @@ func TestPoliciesEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&names); err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 5 {
-		t.Errorf("policies = %v", names)
+	if len(names) == 0 {
+		t.Fatal("no policies listed")
+	}
+	// Every listed name must be accepted by every entry point that takes
+	// a policy. The window rides along because ttl requires one; the
+	// other policies either use it or ignore it.
+	seq, cm := offline.Fig6Instance()
+	dto := CostModelDTO{Mu: cm.Mu, Lambda: cm.Lambda}
+	for _, name := range names {
+		if resp := post(t, ts.URL+"/v1/session", SessionCreateRequest{
+			M: seq.M, Origin: seq.Origin, Model: dto, Policy: name, Window: 0.5,
+		}, nil); resp.StatusCode != http.StatusCreated {
+			t.Errorf("/v1/session rejects listed policy %q: status %d", name, resp.StatusCode)
+		}
+		if resp := post(t, ts.URL+"/v1/simulate", SimulateRequest{
+			Sequence: seq, Model: dto, Policy: name, Window: 0.5,
+		}, nil); resp.StatusCode != http.StatusOK {
+			t.Errorf("/v1/simulate rejects listed policy %q: status %d", name, resp.StatusCode)
+		}
+		if resp := post(t, ts.URL+"/v1/plan", PlanRequest{
+			M: seq.M, Model: dto, Online: name + ":window=0.5",
+			Events: []multi.Event{{Item: "a", Server: 2, Time: 0.5}, {Item: "b", Server: 3, Time: 0.8}},
+		}, nil); resp.StatusCode != http.StatusOK {
+			t.Errorf("/v1/plan rejects listed policy %q: status %d", name, resp.StatusCode)
+		}
+	}
+}
+
+// TestSimulatePolicyNames pins the report name /v1/simulate returns for
+// the policy requests it has always taken, and the two requests whose
+// meaning the shared policy grammar settles: a bare ttl needs a window,
+// and a window applies to sc.
+func TestSimulatePolicyNames(t *testing.T) {
+	ts := newTestServer(t)
+	seq, cm := offline.Fig6Instance()
+	dto := CostModelDTO{Mu: cm.Mu, Lambda: cm.Lambda}
+	for _, tc := range []struct {
+		policy string
+		window float64
+		epoch  int
+		want   string
+	}{
+		{"sc", 0, 0, "SC"},
+		{"ttl", 0.5, 0, "TTL(0.5)"},
+		{"adaptive", 0, 0, "AdaptiveTTL"},
+		{"migrate", 0, 0, "AlwaysMigrate"},
+		{"keep", 0, 0, "KeepEverywhere"},
+		{"", 0, 0, "SC"},
+		{"sc", 0, 3, "SC(epoch=3)"},
+		{"sc", 0.5, 0, "TTL(0.5)"},
+		{"ttl:window=0.25", 0, 0, "TTL(0.25)"},
+		{"replicate", 0, 0, "KeepEverywhere"},
+		{"hybrid", 0, 0, "Hybrid(horizon=8,order=2)"},
+	} {
+		var out SimulateResponse
+		resp := post(t, ts.URL+"/v1/simulate", SimulateRequest{
+			Sequence: seq, Model: dto, Policy: tc.policy, Window: tc.window, Epoch: tc.epoch,
+		}, &out)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%q window=%v epoch=%d: status %d", tc.policy, tc.window, tc.epoch, resp.StatusCode)
+			continue
+		}
+		if out.Policy != tc.want {
+			t.Errorf("%q window=%v epoch=%d: policy %q, want %q", tc.policy, tc.window, tc.epoch, out.Policy, tc.want)
+		}
+	}
+	if resp := post(t, ts.URL+"/v1/simulate", SimulateRequest{
+		Sequence: seq, Model: dto, Policy: "ttl",
+	}, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("ttl without a window: status %d, want 400", resp.StatusCode)
 	}
 }
 

@@ -39,9 +39,9 @@ type SessionCreateRequest struct {
 	M      int            `json:"m"`
 	Origin model.ServerID `json:"origin"`
 	Model  CostModelDTO   `json:"model"`
-	// Policy is a PolicySpec string: "sc", "ttl:window=0.5", "sc:epoch=16",
-	// "migrate", "replicate" or "hybrid:horizon=8,order=2". Window and
-	// Epoch below apply when the spec does not carry its own.
+	// Policy is a PolicySpec string: "sc", "ttl:window=0.5", "adaptive",
+	// "sc:epoch=16", "migrate", "replicate" or "hybrid:horizon=8,order=2".
+	// Window and Epoch below apply when the spec does not carry its own.
 	Policy string  `json:"policy,omitempty"`
 	Window float64 `json:"window,omitempty"`
 	Epoch  int     `json:"epoch,omitempty"`

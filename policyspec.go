@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"datacache/internal/engine"
+	"datacache/internal/online"
 	"datacache/internal/planner"
 )
 
@@ -23,8 +24,10 @@ import (
 //	            policy; window defaults to Δ = λ/μ; epoch=N restarts
 //	            every N transfers
 //	ttl         sc with a mandatory explicit window
+//	adaptive    sc with per-server windows learned from revisit gaps
+//	            (online.AdaptiveTTL)
 //	migrate     single copy following the requests
-//	replicate   copy everywhere, never drop
+//	replicate   copy everywhere, never drop ("keep" is an alias)
 //	hybrid      prediction-fed planner: SC fallback plus an offline DP
 //	            plan over the predicted next horizon requests
 //	            (horizon=K, order=k tune it; see internal/planner)
@@ -85,7 +88,7 @@ func (sp PolicySpec) label() string {
 }
 
 // name is the bare policy name the spec resolves to ("sc", "ttl",
-// "migrate", "replicate", "hybrid").
+// "adaptive", "migrate", "replicate", "hybrid").
 func (sp PolicySpec) name() string {
 	switch sp.Policy {
 	case "":
@@ -97,42 +100,116 @@ func (sp PolicySpec) name() string {
 	}
 }
 
-// decider builds the engine decider the spec names — the same
-// construction whether it serves live or runs as a shadow.
-func (sp PolicySpec) decider() (engine.Decider, error) {
-	if sp.Policy != "hybrid" && (sp.Horizon != 0 || sp.Order != 0) {
-		return nil, fmt.Errorf("datacache: policy %q does not take horizon/order", sp.name())
+// policyKinds is the grammar's kind table, the one place a policy name
+// maps to a decider; GET /v1/policies lists it in this order. report is
+// the batch report name where it differs from the decider's own.
+var policyKinds = []struct {
+	name, report string
+	build        func(sp PolicySpec) engine.Decider
+}{
+	{"sc", "", func(sp PolicySpec) engine.Decider {
+		return &engine.SC{Window: sp.Window, EpochTransfers: sp.EpochTransfers}
+	}},
+	{"ttl", "", func(sp PolicySpec) engine.Decider { return &engine.SC{Window: sp.Window} }},
+	{"adaptive", "", func(PolicySpec) engine.Decider { return &online.AdaptiveTTL{} }},
+	{"migrate", "AlwaysMigrate", func(PolicySpec) engine.Decider { return &engine.Migrate{} }},
+	{"replicate", "KeepEverywhere", func(PolicySpec) engine.Decider { return &engine.Replicate{} }},
+	{"hybrid", "", func(sp PolicySpec) engine.Decider {
+		return &planner.Hybrid{Horizon: sp.Horizon, Order: sp.Order, Window: sp.Window, EpochTransfers: sp.EpochTransfers}
+	}},
+}
+
+// PolicyKinds lists the policy names of the kind table, in its order.
+func PolicyKinds() []string {
+	out := make([]string, len(policyKinds))
+	for i, k := range policyKinds {
+		out[i] = k.name
 	}
-	switch sp.Policy {
-	case "", "sc":
-		return &engine.SC{Window: sp.Window, EpochTransfers: sp.EpochTransfers}, nil
-	case "ttl":
-		if sp.Window <= 0 {
-			return nil, fmt.Errorf("datacache: ttl policy requires window > 0")
+	return out
+}
+
+// kind finds the spec's row in the kind table and checks the parameters
+// the spec carries.
+func (sp PolicySpec) kind() (int, error) {
+	for i, k := range policyKinds {
+		switch {
+		case k.name != sp.name():
+			continue
+		case k.name != "hybrid" && (sp.Horizon != 0 || sp.Order != 0):
+			return i, fmt.Errorf("datacache: policy %q does not take horizon/order", k.name)
+		case k.name == "ttl" && sp.Window <= 0:
+			return i, fmt.Errorf("datacache: ttl policy requires window > 0")
 		}
-		return &engine.SC{Window: sp.Window}, nil
-	case "migrate":
-		return &engine.Migrate{}, nil
-	case "replicate", "keep":
-		return &engine.Replicate{}, nil
-	case "hybrid":
-		return &planner.Hybrid{
-			Horizon:        sp.Horizon,
-			Order:          sp.Order,
-			Window:         sp.Window,
-			EpochTransfers: sp.EpochTransfers,
-		}, nil
-	default:
-		return nil, fmt.Errorf("datacache: unknown policy %q", sp.Policy)
+		return i, nil
 	}
+	return 0, fmt.Errorf("datacache: unknown policy %q", sp.Policy)
+}
+
+// decider builds the engine decider the spec names — the same
+// construction whether it serves live, runs as a shadow or runs in batch.
+func (sp PolicySpec) decider() (engine.Decider, error) {
+	i, err := sp.kind()
+	if err != nil {
+		return nil, err
+	}
+	return policyKinds[i].build(sp), nil
+}
+
+// ResolvePolicy is the one way from a policy name to a policy, shared by
+// NewSession, the HTTP service and the CLIs: it parses spec ("" means
+// "sc"), fills the window and epoch the spec left unset (policies that
+// take none ignore them), and validates the result.
+func ResolvePolicy(spec string, window float64, epoch int) (PolicySpec, error) {
+	var sp PolicySpec
+	if spec != "" {
+		var err error
+		if sp, err = parsePolicySpec(spec); err != nil {
+			return sp, err
+		}
+	}
+	if sp.Window == 0 {
+		sp.Window = window
+	}
+	if sp.EpochTransfers == 0 {
+		sp.EpochTransfers = epoch
+	}
+	_, err := sp.kind()
+	return sp, err
+}
+
+// Runner returns the spec as a batch Policy named like the online
+// runners (SC, TTL(0.5), AdaptiveTTL, AlwaysMigrate, ...). Each Run
+// replays a fresh decider, so it charges what a Session serving sp does.
+func (sp PolicySpec) Runner() Policy { return specRunner{sp} }
+
+type specRunner struct{ sp PolicySpec }
+
+func (r specRunner) Name() string {
+	i, err := r.sp.kind()
+	if err != nil {
+		return r.sp.Spec()
+	}
+	k := policyKinds[i]
+	if k.report != "" {
+		return k.report
+	}
+	return k.build(r.sp).Name()
+}
+
+func (r specRunner) Run(seq *Sequence, cm CostModel) (*Schedule, error) {
+	d, err := r.sp.decider()
+	if err != nil {
+		return nil, err
+	}
+	return online.Replay(d, seq, cm)
 }
 
 // ParsePolicySpec parses one policy spec of the form
 // "kind[:key=value[,key=value...]...]": "sc", "sc:window=1.5",
-// "sc:epoch=16", "ttl:window=0.5", "migrate", "replicate",
-// "hybrid:horizon=8,order=2". Key=value pairs may be separated by ","
-// within a ":" segment or by further ":" segments; both spellings
-// parse identically.
+// "sc:epoch=16", "ttl:window=0.5", "adaptive", "migrate", "replicate",
+// "hybrid:horizon=8,order=2". The policy name is case-insensitive.
+// Key=value pairs may be separated by "," within a ":" segment or by
+// further ":" segments; both spellings parse identically.
 func ParsePolicySpec(spec string) (PolicySpec, error) {
 	sp, err := parsePolicySpec(spec)
 	if err != nil {
@@ -140,19 +217,17 @@ func ParsePolicySpec(spec string) (PolicySpec, error) {
 	}
 	// Validate the policy name and its parameters eagerly so a bad spec
 	// fails at parse time, not at session create.
-	if _, err := sp.decider(); err != nil {
-		return sp, err
-	}
-	return sp, nil
+	_, err = sp.kind()
+	return sp, err
 }
 
-// parsePolicySpec is the grammar without the decider validation —
-// NewSession merges option-level Window/EpochTransfers into the parsed
-// spec before validating, so a bare "ttl" with Window in the options
-// must survive parsing.
+// parsePolicySpec is the grammar without the kind validation —
+// ResolvePolicy merges a separate window and epoch into the parsed spec
+// before validating, so a bare "ttl" with a window beside it must
+// survive parsing.
 func parsePolicySpec(spec string) (PolicySpec, error) {
 	parts := strings.Split(spec, ":")
-	sp := PolicySpec{Policy: strings.TrimSpace(parts[0])}
+	sp := PolicySpec{Policy: strings.ToLower(strings.TrimSpace(parts[0]))}
 	if sp.Policy == "" {
 		return sp, fmt.Errorf("datacache: empty policy spec %q", spec)
 	}

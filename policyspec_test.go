@@ -19,6 +19,8 @@ func TestPolicySpecRoundTrip(t *testing.T) {
 		"sc:window=2:epoch=8":      "sc:window=2:epoch=8",
 		"sc:window=2,epoch=8":      "sc:window=2:epoch=8", // comma and colon spellings parse alike
 		"ttl:window=0.5":           "ttl:window=0.5",
+		"adaptive":                 "adaptive",
+		"SC:window=1":              "sc:window=1", // the policy name is case-insensitive
 		"migrate":                  "migrate",
 		"replicate":                "replicate",
 		"keep":                     "keep",
@@ -57,6 +59,7 @@ func TestPolicySpecRejects(t *testing.T) {
 	bad := map[string]string{
 		"sc:horizon=4":      "does not take horizon/order",
 		"ttl:order=2":       "does not take horizon/order",
+		"adaptive:order=2":  "does not take horizon/order",
 		"migrate:horizon=1": "does not take horizon/order",
 		"hybrid:horizon=0":  "horizon",
 		"hybrid:order=0":    "order",
@@ -91,7 +94,7 @@ func TestPolicySpecRejects(t *testing.T) {
 func FuzzParsePolicySpec(f *testing.F) {
 	for _, seed := range []string{
 		"sc", "sc:window=1.5", "sc:epoch=16", "sc:window=2:epoch=8",
-		"ttl:window=0.5", "migrate", "replicate", "keep",
+		"ttl:window=0.5", "adaptive", "migrate", "replicate", "keep",
 		"hybrid", "hybrid:horizon=8,order=2", "hybrid:window=2",
 		"sc:bogus=1", "sc:epoch", "", "warp", "hybrid:horizon=0",
 		"ttl:window=-1", "ttl:window=NaN", "sc:window=+Inf",

@@ -691,7 +691,8 @@ func (p *Pool) SetRecordTraceID(id string) {
 func (p *Pool) ShadowNames() []string { return p.shadowNames }
 
 // Policy reports the canonical name of the live policy every item
-// engine runs ("sc", "ttl", "migrate", "replicate").
+// engine runs ("sc", "ttl", "adaptive", "migrate", "replicate",
+// "hybrid").
 func (p *Pool) Policy() string { return p.livePolicy }
 
 // ShadowCosts returns the pool-wide per-shadow cost accumulators
@@ -758,14 +759,7 @@ func (p *Pool) ShadowReport() *ShadowReport {
 	}
 	rep.Standings = append(rep.Standings, live)
 	rep.Standings = append(rep.Standings, shadows...)
-	best := 0
-	for i := 1; i < len(rep.Standings); i++ {
-		if rep.Standings[i].Cost < rep.Standings[best].Cost {
-			best = i
-		}
-	}
-	rep.Standings[best].Best = true
-	rep.Best = rep.Standings[best].Policy
+	rep.markBest()
 	return rep
 }
 

@@ -430,14 +430,7 @@ func replayShadowPanel(streams map[uint32]*replayStream, order []uint32, window 
 			Hits:            hits[i], Transfers: xfers[i], Drops: drops[i], Divergence: div[i],
 		})
 	}
-	best := 0
-	for i := 1; i < len(rep.Standings); i++ {
-		if rep.Standings[i].Cost < rep.Standings[best].Cost {
-			best = i
-		}
-	}
-	rep.Standings[best].Best = true
-	rep.Best = rep.Standings[best].Policy
+	rep.markBest()
 	return rep
 }
 

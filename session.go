@@ -71,9 +71,9 @@ func Theorem3Rule() AlertRule { return obs.Theorem3Rule() }
 type SessionOptions struct {
 	// Policy selects the live policy as a PolicySpec string: "sc"
 	// (default), "ttl" (fixed retention window, requires a window),
-	// "migrate" (single nomadic copy), "replicate"/"keep" (replicate on
-	// first touch, never delete) or "hybrid" (prediction-fed planner with
-	// SC fallback). Parameters may ride in the spec
+	// "adaptive" (learned per-server windows), "migrate" (single nomadic
+	// copy), "replicate"/"keep" (replicate on first touch, never delete)
+	// or "hybrid" (prediction-fed planner with SC fallback). Parameters may ride in the spec
 	// ("ttl:window=0.5", "sc:epoch=16", "hybrid:horizon=8,order=2") or in
 	// the fields below; spec-carried values win.
 	Policy string
@@ -199,27 +199,11 @@ func NewSession(m int, origin ServerID, cm CostModel, opts *SessionOptions) (*Se
 	if opts == nil {
 		opts = &SessionOptions{}
 	}
-	// The live policy is one PolicySpec: parse the spec string loosely,
-	// merge in the option-level parameters where the spec left them unset,
-	// and let the decider construction validate the result.
-	var sp PolicySpec
-	if opts.Policy != "" {
-		var err error
-		if sp, err = parsePolicySpec(opts.Policy); err != nil {
-			return nil, err
-		}
-	}
-	if sp.Window == 0 {
-		sp.Window = opts.Window
-	}
-	if sp.EpochTransfers == 0 {
-		sp.EpochTransfers = opts.EpochTransfers
-	}
-	d, err := sp.decider()
+	sp, err := ResolvePolicy(opts.Policy, opts.Window, opts.EpochTransfers)
 	if err != nil {
 		return nil, err
 	}
-	policy := sp.name()
+	d, _ := sp.decider() // a resolved spec always builds
 	if err := cm.Validate(); err != nil {
 		return nil, err
 	}
@@ -230,22 +214,19 @@ func NewSession(m int, origin ServerID, cm CostModel, opts *SessionOptions) (*Se
 		ringObs = ring
 	}
 	observer := obs.Multi(ringObs, opts.Observer)
-	var hybrid *planner.Hybrid
-	switch dd := d.(type) {
-	case *engine.SC:
-		if observer != nil {
-			// Epoch restarts happen inside the decider, invisible to the
-			// stream's action ledger; surface them through the analysis hook.
-			dd.OnReset = func(t float64, keep model.ServerID) {
-				observer.Observe(obs.Event{At: t, Kind: obs.KindEpochReset, Server: int(keep)})
-			}
+	hybrid, _ := d.(*planner.Hybrid)
+	if observer != nil {
+		// Epoch restarts and mispredictions happen inside the decider,
+		// invisible to the stream's action ledger; surface them through
+		// the analysis hooks.
+		onReset := func(t float64, keep model.ServerID) {
+			observer.Observe(obs.Event{At: t, Kind: obs.KindEpochReset, Server: int(keep)})
 		}
-	case *planner.Hybrid:
-		hybrid = dd
-		if observer != nil {
-			dd.OnReset = func(t float64, keep model.ServerID) {
-				observer.Observe(obs.Event{At: t, Kind: obs.KindEpochReset, Server: int(keep)})
-			}
+		switch dd := d.(type) {
+		case *engine.SC:
+			dd.OnReset = onReset
+		case *planner.Hybrid:
+			dd.OnReset = onReset
 			dd.OnMispredict = func(t float64, predicted, actual model.ServerID) {
 				observer.Observe(obs.Event{At: t, Kind: obs.KindMispredict, Server: int(actual), From: int(predicted)})
 			}
@@ -268,7 +249,7 @@ func NewSession(m int, origin ServerID, cm CostModel, opts *SessionOptions) (*Se
 		}
 		slo = obs.NewSLO(opts.SLOWindow, rules...)
 	}
-	s := &Session{policy: policy, cm: cm, stream: stream, inc: inc, ring: ring, slo: slo, hybrid: hybrid, scShadowIdx: -1}
+	s := &Session{policy: sp.name(), cm: cm, stream: stream, inc: inc, ring: ring, slo: slo, hybrid: hybrid, scShadowIdx: -1}
 	if hybrid != nil {
 		// A hybrid live policy always runs its own SC fallback as a shadow
 		// — the built-in self-check that planning never loses to the pure

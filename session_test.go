@@ -41,6 +41,8 @@ func TestSessionMatchesBatchRun(t *testing.T) {
 		{"ttl", &datacache.SessionOptions{Policy: "ttl", Window: 0.7}, datacache.SpeculativeCaching{Window: 0.7}},
 		{"migrate", &datacache.SessionOptions{Policy: "migrate"}, datacache.AlwaysMigrate{}},
 		{"replicate", &datacache.SessionOptions{Policy: "replicate"}, datacache.KeepEverywhere{}},
+		{"adaptive", &datacache.SessionOptions{Policy: "adaptive"}, datacache.AdaptiveTTL{}},
+		{"hybrid", &datacache.SessionOptions{Policy: "hybrid"}, mustResolve(t, "hybrid").Runner()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -83,6 +85,15 @@ func TestSessionMatchesBatchRun(t *testing.T) {
 			}
 		})
 	}
+}
+
+func mustResolve(t *testing.T, spec string) datacache.PolicySpec {
+	t.Helper()
+	sp, err := datacache.ResolvePolicy(spec, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
 }
 
 // TestSessionDecisions spot-checks the per-request readout on the paper's

@@ -281,6 +281,17 @@ func (s *Session) ShadowReport() *ShadowReport {
 		}
 		rep.Standings = append(rep.Standings, st)
 	}
+	rep.markBest()
+	if a, ok := s.ShadowAlert(); ok {
+		rep.Alert = &a
+	}
+	return rep
+}
+
+// markBest flags the minimum-cost standing as Best and names its policy
+// in rep.Best. Standings whose shadow errored are skipped; the live line
+// comes first, so it wins ties.
+func (rep *ShadowReport) markBest() {
 	best := 0
 	for i := 1; i < len(rep.Standings); i++ {
 		if rep.Standings[i].Err == "" && rep.Standings[i].Cost < rep.Standings[best].Cost {
@@ -289,10 +300,6 @@ func (s *Session) ShadowReport() *ShadowReport {
 	}
 	rep.Standings[best].Best = true
 	rep.Best = rep.Standings[best].Policy
-	if a, ok := s.ShadowAlert(); ok {
-		rep.Alert = &a
-	}
-	return rep
 }
 
 // Shadows returns the counterfactual standings — the live policy first,
